@@ -245,6 +245,12 @@ def cmd_simulate(demand, sizes, p, method, reps, seed, fmt):
         report = simulate_design(part, q, reps, seed)
     except (ValueError, OverflowError) as exc:
         _domain_error(exc)
+    if not report.exact:
+        click.echo(
+            "warning: a replication needed 2**53 tests or more, past the "
+            "exact range of float64 counts, so the moments are not exact",
+            err=True,
+        )
     if fmt == "json":
         payload = {
             "sizes": list(part.sizes),

@@ -21,13 +21,18 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
-# Relative tolerance for deciding that two adjacent batch sizes tie on
-# throughput, and absolute/relative tolerances for comparing candidate
-# design costs.  Both comparisons sit well above double rounding noise
-# and well below any real gap between distinct candidates.
+# Relative tolerance within which the computed throughputs of two tied
+# batch sizes agree, and absolute/relative tolerances for comparing
+# candidate design costs.  Both sit well above double rounding noise
+# and well below any real gap between distinct small candidates.
 MU_TIE_RTOL = 1e-12
 VALUE_ATOL = 1e-12
 VALUE_RTOL = 1e-12
+# Sizes n and n + 1 tie exactly when q = n / (n + 1).  A q within this
+# many ulps of that ratio is the tie: it absorbs the rounding of q = 1 - p
+# and of the ratio, while the throughput gap of a non-tie shrinks like
+# 1/n**2 and falls below any fixed relative tolerance as n grows.
+_TIE_ULPS = 4
 
 SOLVER_METHODS = ("dp", "sweep", "theorem", "brute")
 
@@ -191,11 +196,12 @@ class ConstantSizeResult:
 def optimal_constant_size(q: float) -> ConstantSizeResult:
     """Batch size maximizing expected items accepted per test.
 
-    mu(n, q) = n * q**n is unimodal in n with continuous peak at
-    1 / ln(1/q), so the integer optimum is a floor/ceil comparison.
-    For q <= 1/2 the peak is at or below 1 and batches of one item
-    are optimal (q = 1/2 ties with pairs).  q = 1 has no finite
-    optimum since mu grows without bound.
+    mu(n + 1, q) / mu(n, q) = q (n + 1) / n, so mu(n, q) = n * q**n
+    rises while q > n / (n + 1) and the integer optimum is the n with
+    n <= 1 / (1 - q) <= n + 1; sizes n and n + 1 tie exactly when
+    q = n / (n + 1).  For q <= 1/2 batches of one item are optimal
+    (q = 1/2 ties with pairs).  q = 1 has no finite optimum since mu
+    grows without bound.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"constant-size optimum needs q in (0, 1), got {q}")
@@ -203,12 +209,15 @@ def optimal_constant_size(q: float) -> ConstantSizeResult:
         return ConstantSizeResult(1, None, mu(1, q))
     if q == 0.5:
         return ConstantSizeResult(1, 2, mu(1, q))
-    peak = 1.0 / math.log(1.0 / q)
-    lo = max(1, math.floor(peak))
-    mu_lo = mu(lo, q)
-    mu_hi = mu(lo + 1, q)
-    if abs(mu_lo - mu_hi) <= MU_TIE_RTOL * max(mu_lo, mu_hi):
-        return ConstantSizeResult(lo, lo + 1, mu_lo)
-    if mu_hi > mu_lo:
-        return ConstantSizeResult(lo + 1, None, mu_hi)
-    return ConstantSizeResult(lo, None, mu_lo)
+    # 1 - q is exact for q > 1/2 and its reciprocal is off by far less
+    # than 1/2, so lo / (lo + 1) is the boundary nearest q and the
+    # optimum, floor(1 / (1 - q)), is lo or lo + 1.
+    lo = round(1.0 / (1.0 - q)) - 1
+    # Comparing q with lo / (lo + 1) decides exactly what comparing the
+    # rounded mu values decides noisily once n is large.
+    boundary = lo / (lo + 1)
+    if abs(q - boundary) <= _TIE_ULPS * math.ulp(boundary):
+        return ConstantSizeResult(lo, lo + 1, mu(lo, q))
+    if q > boundary:
+        return ConstantSizeResult(lo + 1, None, mu(lo + 1, q))
+    return ConstantSizeResult(lo, None, mu(lo, q))

@@ -15,6 +15,15 @@ ceil(log1p(-u) / log1p(-p)), clamped to at least one test.  No numpy
 distribution methods are involved, so a numpy upgrade cannot shift the
 stream, and the draw for a given (seed, replication, batch) slot never
 depends on how many replications are requested by other callers.
+
+The stream is read in chunks of whole replications, about 2**16 words
+each, so memory is bounded by the chunk rather than by replications x
+batches; since Philox is counter-based, consecutive reads yield the same
+words as one large read.  Each replication's total is an integer, and
+the mean and variance come from exact integer sums of the totals and
+their squares, so they are correctly rounded and do not depend on the
+chunking.  Totals stay exact while below 2**53; past that the float
+draws themselves are rounded, and the report says so with exact=False.
 """
 
 from __future__ import annotations
@@ -32,6 +41,15 @@ from .core import (
     expected_waiting_time,
 )
 
+# Stream words read per chunk, rounded down to whole replications (at
+# least one): the working set of one call, whatever its replication count.
+_CHUNK_WORDS = 1 << 16
+# float64 integers, and so the replication totals, are exact below this.
+_EXACT_LIMIT = 2.0**53
+# numpy sums rows shorter than this strictly left to right; from this
+# width on it sums them pairwise.
+_PAIRWISE_MIN = 8
+
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -43,6 +61,9 @@ class SimulationReport:
     std_error: float
     analytic_tests: float
     z_score: float
+    # False once a replication's total reaches 2**53, where float64
+    # counts stop being exact integers.
+    exact: bool
 
 
 def _check_replications(replications: int) -> int:
@@ -68,12 +89,44 @@ def _check_seed(seed: int) -> int:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
 
 
-def _uniform_stream(seed: int, count: int) -> np.ndarray:
-    # Philox is counter-based: the same key always yields the same
-    # word sequence, independent of platform and numpy version.
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    raw = np.random.Philox(key=key).random_raw(count)
-    return (raw >> np.uint64(11)) * np.float64(2.0**-53)
+def _uniform_stream(generator: np.random.Philox, count: int) -> np.ndarray:
+    # Philox is counter-based: the same key always yields the same word
+    # sequence, independent of platform, numpy version and of how the
+    # sequence is split across calls.
+    raw = generator.random_raw(count)
+    raw >>= np.uint64(11)
+    uniforms = raw.astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms
+
+
+def _log_fail(n: int, q: float) -> float:
+    # log1p(-p) for one batch; -inf when the batch always passes, so
+    # every draw transforms to 0 and is clamped to one test.
+    p = batch_pass_probability(n, q)
+    return math.log1p(-p) if p < 1.0 else -math.inf
+
+
+def _integer_sums(totals: np.ndarray, top: float) -> tuple[int, int]:
+    """Exact sum and sum of squares of integral, finite float64 totals."""
+    if len(totals) * int(top) ** 2 < 2**63:
+        ints = totals.astype(np.int64)
+        return int(ints.sum()), int(np.dot(ints, ints))
+    ints = [int(t) for t in totals.tolist()]
+    return sum(ints), sum(t * t for t in ints)
+
+
+def _moments(total: int, square_total: int, count: int) -> tuple[float, float]:
+    # int / int is correctly rounded, so these are the exact sample
+    # moments of the totals, rounded once.
+    mean = total / count
+    if count == 1:
+        return mean, 0.0
+    try:
+        variance = (count * square_total - total * total) / (count * (count - 1))
+    except OverflowError:  # counts near q**-n ~ 1e308 spread past double range
+        variance = math.inf
+    return mean, variance
 
 
 def simulate_design(
@@ -101,20 +154,41 @@ def simulate_design(
     analytic = expected_waiting_time(part, q)
 
     batches = len(part.sizes)
-    uniforms = _uniform_stream(seed, replications * batches)
-    uniforms = uniforms.reshape(replications, batches)
-    counts = np.empty_like(uniforms)
-    for j, n in enumerate(part.sizes):
-        p = batch_pass_probability(n, q)
-        if p >= 1.0:
-            counts[:, j] = 1.0
+    rows_per_chunk = max(1, _CHUNK_WORDS // batches)
+    # log1p(-p_j) repeated once per row of a full chunk: a flat divisor
+    # runs at full speed even when a row holds only two or three batches.
+    divisors = np.tile([_log_fail(n, q) for n in part.sizes], rows_per_chunk)
+    generator = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    total = square_total = 0
+    top = 0.0
+    for start in range(0, replications, rows_per_chunk):
+        rows = min(rows_per_chunk, replications - start)
+        counts = _uniform_stream(generator, rows * batches)
+        np.negative(counts, out=counts)
+        np.log1p(counts, out=counts)
+        counts /= divisors[: rows * batches]
+        np.ceil(counts, out=counts)
+        np.maximum(counts, 1.0, out=counts)
+        counts = counts.reshape(rows, batches)
+        if batches < _PAIRWISE_MIN:
+            # Column adds give the same left-to-right sums as numpy's row
+            # reduction at this width, without its per-row loop overhead.
+            totals = counts[:, 0].copy()
+            for j in range(1, batches):
+                totals += counts[:, j]
         else:
-            counts[:, j] = np.ceil(np.log1p(-uniforms[:, j]) / math.log1p(-p))
-    np.maximum(counts, 1.0, out=counts)
+            totals = counts.sum(axis=1)
+        chunk_top = float(totals.max())
+        top = max(top, chunk_top)
+        if top < math.inf:
+            chunk_sum, chunk_squares = _integer_sums(totals, chunk_top)
+            total += chunk_sum
+            square_total += chunk_squares
 
-    totals = counts.sum(axis=1)
-    mean = float(totals.mean())
-    variance = float(totals.var(ddof=1)) if replications > 1 else 0.0
+    if top < math.inf:
+        mean, variance = _moments(total, square_total, replications)
+    else:  # an infinite count has no finite moments
+        mean, variance = math.inf, math.nan if replications > 1 else 0.0
     std_error = math.sqrt(variance / replications)
     if std_error > 0.0:
         z_score = (mean - analytic) / std_error
@@ -129,6 +203,7 @@ def simulate_design(
         std_error=std_error,
         analytic_tests=analytic,
         z_score=z_score,
+        exact=top < _EXACT_LIMIT,
     )
 
 

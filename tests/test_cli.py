@@ -87,6 +87,12 @@ class TestSolve:
         assert row["n_star"] is None
         assert row["n_star_tie"] is None
 
+    def test_near_tie_prints_one_constant_optimum(self, runner):
+        # p = 3e-7 is close to, but not at, the 3333332/3333333 tie
+        result = invoke(runner, "solve", "--n", "10", "--p", "3e-7", "--method", "theorem")
+        assert result.exit_code == 0
+        assert "constant optimum: 3333333\n" in result.output
+
     @pytest.mark.parametrize("n", (1, 7, 13, 30))
     @pytest.mark.parametrize("p", (0.05, 0.25, 0.5))
     def test_methods_print_identical_values(self, runner, n, p):
@@ -159,6 +165,20 @@ class TestSimulate:
         first = invoke(runner, *args)
         second = invoke(runner, *args)
         assert first.output.encode() == second.output.encode()
+
+    def test_inexact_counts_warn_on_stderr(self, runner):
+        # q**-5000 at p = 0.01 is about 6.7e21 tests, past 2**53
+        result = invoke(runner, "simulate", "--sizes", "5000", "--p", "0.01", "--reps", "1000")
+        assert result.exit_code == 0
+        assert result.stdout.startswith("batches:          5000\n")
+        assert "warning" not in result.stdout
+        [line] = result.stderr.splitlines()
+        assert line.startswith("warning: ")
+
+    def test_exact_counts_leave_stderr_empty(self, runner):
+        result = invoke(runner, "simulate", "--sizes", "83,83,84", "--p", "0.01", "--reps", "1000")
+        assert result.exit_code == 0
+        assert result.stderr == ""
 
     def test_sizes_tolerate_spaces(self, runner):
         result = invoke(

@@ -7,6 +7,7 @@ for the trivial edges.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,6 +273,30 @@ class TestOptimalConstantSize:
         q = n / (n + 1) + sign * 1e-6
         pick = optimal_constant_size(q)
         assert pick.n_star_high is None
+
+    @pytest.mark.parametrize("n", (10**6, 10**7, 2**40 - 1))
+    def test_tie_at_large_sizes(self, n):
+        # the throughput gap of nearby non-ties is below 1e-12 here, yet
+        # q = n / (n + 1) itself must still tie (exactly so for n + 1 = 2**40)
+        pick = optimal_constant_size(n / (n + 1))
+        assert (pick.n_star_low, pick.n_star_high) == (n, n + 1)
+
+    @pytest.mark.parametrize("p", (1e-7, 1e-8, 1e-9, 1e-10, 1e-12))
+    def test_pick_holds_the_exact_optimum_of_the_float_q(self, p):
+        # mu(n) >= mu(n +- 1) exactly when n <= 1 / (1 - q) <= n + 1, so
+        # floor(1 / (1 - q)) in rational arithmetic is an optimal size
+        q = 1.0 - p
+        exact = math.floor(1 / (1 - Fraction(q)))
+        pick = optimal_constant_size(q)
+        assert exact in (pick.n_star_low, pick.n_star_high)
+
+    def test_near_tie_with_a_large_optimum_is_decided(self):
+        # q = 1 - 3e-7 sits 271 ulps above 3333332/3333333, so mu(n + 1)
+        # / mu(n) = q (n + 1) / n > 1 and the larger size wins outright
+        q = 1.0 - 3e-7
+        assert Fraction(q) > Fraction(3333332, 3333333)
+        pick = optimal_constant_size(q)
+        assert (pick.n_star_low, pick.n_star_high) == (3333333, None)
 
     @pytest.mark.parametrize("q", (0.55, 0.7, 0.9, 0.99))
     def test_reported_throughput_is_mu_at_the_pick(self, q):

@@ -1,20 +1,25 @@
 """Tests for the Monte Carlo validator.
 
 Oracles: closed-form geometric moments (mean 1/p, variance (1-p)/p**2
-per batch) bound the sampling error; trivial q = 1 cases are exact.
+per batch) bound the sampling error; trivial q = 1 cases are exact; an
+unchunked read of the documented pipeline fixes every draw bit for bit.
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pooldesign import (
     Partition,
+    batch_pass_probability,
     expected_waiting_time,
     per_item_cost,
     simulate_design,
     simulate_stream_rate,
 )
+from pooldesign import sim
 
 
 def total_tests_std(sizes, q, replications):
@@ -24,6 +29,118 @@ def total_tests_std(sizes, q, replications):
         p = q**n
         variance += (1 - p) / p**2
     return math.sqrt(variance / replications)
+
+
+def unchunked_totals(sizes, q, replications, seed):
+    """Float64 replication totals from one read of the whole stream.
+
+    The documented pipeline without chunking: a single random_raw of
+    replications x batches words, a per-column inverse transform and
+    float row sums.
+    """
+    sizes = sorted(sizes)
+    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    raw = np.random.Philox(key=key).random_raw(replications * len(sizes))
+    uniforms = ((raw >> np.uint64(11)) * np.float64(2.0**-53)).reshape(replications, -1)
+    counts = np.empty_like(uniforms)
+    for j, n in enumerate(sizes):
+        p = batch_pass_probability(n, q)
+        if p >= 1.0:
+            counts[:, j] = 1.0
+        else:
+            counts[:, j] = np.ceil(np.log1p(-uniforms[:, j]) / math.log1p(-p))
+    np.maximum(counts, 1.0, out=counts)
+    return counts.sum(axis=1)
+
+
+def exact_moments(totals):
+    """(mean, variance) of integral totals from exact integer sums."""
+    ints = [int(t) for t in totals.tolist()]
+    s, s2, r = sum(ints), sum(t * t for t in ints), len(ints)
+    variance = (r * s2 - s * s) / (r * (r - 1)) if r > 1 else 0.0
+    return s / r, variance
+
+
+WIDE = tuple(range(1, 251))
+# (sizes, q, replications, exact): wide and tall designs, in the exact
+# regime and past 2**53 tests per replication; the tall exact ones span
+# more than one default chunk.
+CHUNK_CASES = [
+    pytest.param(WIDE, 0.99, 300, True, id="wide"),
+    pytest.param((1,) * 249 + (3700,), 0.99, 40, False, id="wide-inexact"),
+    pytest.param((40, 90), 0.99, 33_000, True, id="tall-2"),
+    pytest.param((25, 60, 150), 0.995, 22_000, True, id="tall-3"),
+    pytest.param((7, 7, 80, 200), 0.99, 17_000, True, id="tall-4"),
+    pytest.param((3650, 3700, 3720), 0.99, 500, False, id="tall-inexact"),
+]
+
+
+class TestChunking:
+    @pytest.mark.parametrize("sizes,q,reps,exact", CHUNK_CASES)
+    def test_chunk_size_never_changes_the_report(self, monkeypatch, sizes, q, reps, exact):
+        default = sim._CHUNK_WORDS
+        batches = len(sizes)
+        for chunk_words in (1, 7, batches - 1, batches, batches + 1, default):
+            # one or two replications per chunk is slow: keep those runs short
+            runs = reps if chunk_words == default else min(reps, 600)
+            totals = unchunked_totals(sizes, q, runs, 5)
+            monkeypatch.setattr(sim, "_CHUNK_WORDS", chunk_words)
+            report = simulate_design(sizes, q, runs, 5)
+            assert (report.mean_tests, report.variance_tests) == exact_moments(totals)
+            assert report.exact == (totals.max() < 2**53) == exact
+
+    @pytest.mark.parametrize("first,second", ((1, 1), (7, 250), (65_536, 3), (262 * 250, 999)))
+    def test_split_reads_continue_the_stream(self, first, second):
+        key = np.uint64(2024)
+        split = np.random.Philox(key=key)
+        pieces = np.concatenate([split.random_raw(first), split.random_raw(second)])
+        whole = np.random.Philox(key=key).random_raw(first + second)
+        assert np.array_equal(pieces, whole)
+
+    def test_memory_bounded_by_the_chunk(self):
+        # 5e7 draws: holding them all as float64 would take 400 MB
+        tracemalloc.start()
+        try:
+            simulate_design((1,) * 250, 0.99, 200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("sizes,reps", ((WIDE, 300), ((40, 90), 20_000)))
+    def test_mean_equals_float_mean_while_the_grand_total_is_exact(self, sizes, reps):
+        # below 2**53 a float sum of the totals is exact too, so the mean
+        # is the one a float pipeline (totals.mean()) reports
+        totals = unchunked_totals(sizes, 0.99, reps, 9)
+        assert totals.sum() < 2**53
+        assert simulate_design(sizes, 0.99, reps, 9).mean_tests == float(totals.mean())
+
+
+class TestExactness:
+    def test_small_counts_are_exact(self):
+        assert simulate_design((83, 83, 84), 0.99, 1000, 7).exact
+
+    def test_counts_past_2_53_are_flagged(self):
+        # q**-5000 at q = 0.99 is about 6.7e21 tests per replication
+        report = simulate_design((5000,), 0.99, 1000, 0)
+        assert not report.exact
+        assert report.mean_tests > 2.0**53
+
+    def test_spread_past_double_range_reports_infinite_variance(self):
+        # counts near 2**1019 ~ 5.6e306: their squares leave double range
+        with np.errstate(over="ignore"):
+            report = simulate_design((1019,), 0.5, 10, 0)
+        assert math.isfinite(report.mean_tests)
+        assert report.variance_tests == math.inf
+        assert not report.exact
+
+    def test_infinite_count_reports_infinite_mean(self):
+        # at q**n = 2**-1022 a draw exceeds double range with chance e**-4
+        with np.errstate(over="ignore"):
+            report = simulate_design((1022,), 0.5, 100, 0)
+        assert report.mean_tests == math.inf
+        assert math.isnan(report.variance_tests)
+        assert not report.exact
 
 
 class TestDeterminism:
