@@ -183,9 +183,11 @@ class DesignSolution:
 class ConstantSizeResult:
     """Optimal batch size(s) when every batch must have the same size.
 
-    n_star_low is the optimal size; n_star_high is set only when the
-    next size up achieves the same throughput, which happens exactly
-    when q = n / (n + 1) for an integer n.
+    n_star_low is the optimal size; n_star_high is set when the next
+    size up ties with it: when q lies within 4 ulps of n / (n + 1) for
+    an integer n.  Below n of about 3e7 that marks exactly the intended
+    ties; past it adjacent ratios lie closer than 4 ulps, so nearby q
+    report a tie too, possibly one size off.
     """
 
     n_star_low: int

@@ -46,9 +46,6 @@ from .core import (
 _CHUNK_WORDS = 1 << 16
 # float64 integers, and so the replication totals, are exact below this.
 _EXACT_LIMIT = 2.0**53
-# numpy sums rows shorter than this strictly left to right; from this
-# width on it sums them pairwise.
-_PAIRWISE_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -155,29 +152,19 @@ def simulate_design(
 
     batches = len(part.sizes)
     rows_per_chunk = max(1, _CHUNK_WORDS // batches)
-    # log1p(-p_j) repeated once per row of a full chunk: a flat divisor
-    # runs at full speed even when a row holds only two or three batches.
-    divisors = np.tile([_log_fail(n, q) for n in part.sizes], rows_per_chunk)
+    log_fail = np.array([_log_fail(n, q) for n in part.sizes])
     generator = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
     total = square_total = 0
     top = 0.0
     for start in range(0, replications, rows_per_chunk):
         rows = min(rows_per_chunk, replications - start)
-        counts = _uniform_stream(generator, rows * batches)
+        counts = _uniform_stream(generator, rows * batches).reshape(rows, batches)
         np.negative(counts, out=counts)
         np.log1p(counts, out=counts)
-        counts /= divisors[: rows * batches]
+        counts /= log_fail
         np.ceil(counts, out=counts)
         np.maximum(counts, 1.0, out=counts)
-        counts = counts.reshape(rows, batches)
-        if batches < _PAIRWISE_MIN:
-            # Column adds give the same left-to-right sums as numpy's row
-            # reduction at this width, without its per-row loop overhead.
-            totals = counts[:, 0].copy()
-            for j in range(1, batches):
-                totals += counts[:, j]
-        else:
-            totals = counts.sum(axis=1)
+        totals = counts.sum(axis=1)
         chunk_top = float(totals.max())
         top = max(top, chunk_top)
         if top < math.inf:

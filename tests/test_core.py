@@ -284,11 +284,29 @@ class TestOptimalConstantSize:
     @pytest.mark.parametrize("p", (1e-7, 1e-8, 1e-9, 1e-10, 1e-12))
     def test_pick_holds_the_exact_optimum_of_the_float_q(self, p):
         # mu(n) >= mu(n +- 1) exactly when n <= 1 / (1 - q) <= n + 1, so
-        # floor(1 / (1 - q)) in rational arithmetic is an optimal size
+        # floor(1 / (1 - q)) in rational arithmetic is an optimal size.
+        # Each 1 / p here is an integer, so q = 1 - p is the tie
+        # n / (n + 1) with n = 1 / p - 1 and a tie is reported.  From
+        # p = 1e-8 on (n past about 3e7) adjacent ratios n / (n + 1) lie
+        # closer together than the 4-ulp tie band, so the reported pair
+        # may be off by one (99999998|99999999 at 1e-8); only membership
+        # of the exact optimum is asserted there.
         q = 1.0 - p
         exact = math.floor(1 / (1 - Fraction(q)))
         pick = optimal_constant_size(q)
         assert exact in (pick.n_star_low, pick.n_star_high)
+        if p == 1e-7:
+            assert (pick.n_star_low, pick.n_star_high) == (9999999, 10**7)
+
+    @pytest.mark.parametrize("p", (3e-7, 7e-8, 6e-8, 4.5e-8, 3.5e-8))
+    def test_no_false_tie_below_the_resolution_limit(self, p):
+        # 1 / p is no integer, so q = 1 - p is no n / (n + 1); with n*
+        # below about 3e7 the nearest ratio lies outside the tie band and
+        # the pick is the exact optimum alone
+        q = 1.0 - p
+        exact = math.floor(1 / (1 - Fraction(q)))
+        pick = optimal_constant_size(q)
+        assert (pick.n_star_low, pick.n_star_high) == (exact, None)
 
     def test_near_tie_with_a_large_optimum_is_decided(self):
         # q = 1 - 3e-7 sits 271 ulps above 3333332/3333333, so mu(n + 1)
