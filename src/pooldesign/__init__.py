@@ -10,13 +10,10 @@ Monte Carlo simulation.
 """
 
 from .core import (
-    MU_TIE_RTOL,
     VALUE_ATOL,
     VALUE_RTOL,
     ConstantSizeResult,
-    DesignSolution,
     Partition,
-    Prevalence,
     as_partition,
     batch_pass_probability,
     batch_waiting_time,
@@ -29,12 +26,11 @@ from .core import (
 from .sim import SimulationReport, simulate_design, simulate_stream_rate
 from .solvers import (
     BRUTE_FORCE_CAP,
+    DesignSolution,
     DpTable,
-    TheoremInputs,
     balanced_partition,
     brute_force_solve,
     build_dp_table,
-    constant_size_split,
     dp_solve,
     integer_partitions,
     is_majorized_by,
@@ -45,7 +41,6 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MU_TIE_RTOL",
     "VALUE_ATOL",
     "VALUE_RTOL",
     "BRUTE_FORCE_CAP",
@@ -53,16 +48,13 @@ __all__ = [
     "DesignSolution",
     "DpTable",
     "Partition",
-    "Prevalence",
     "SimulationReport",
-    "TheoremInputs",
     "as_partition",
     "balanced_partition",
     "batch_pass_probability",
     "batch_waiting_time",
     "brute_force_solve",
     "build_dp_table",
-    "constant_size_split",
     "dp_solve",
     "expected_waiting_time",
     "integer_partitions",

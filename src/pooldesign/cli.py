@@ -21,49 +21,38 @@ import click
 
 from .core import as_partition, optimal_constant_size
 from .sim import simulate_design
-from .solvers import brute_force_solve, dp_solve, sweep_solve, theorem_solve
-
-SOLVERS = {
-    "dp": dp_solve,
-    "sweep": sweep_solve,
-    "theorem": theorem_solve,
-    "brute": brute_force_solve,
-}
+from .solvers import SOLVERS
 
 CSV_HEADER = ["N", "p", "method", "partition", "expected_tests", "n_star"]
 
 
-def _check_probability(ctx, param, value):
-    if value is None:
-        return None
+def _split_commas(value: str, item: str) -> list[str]:
+    parts = [piece.strip() for piece in value.split(",") if piece.strip()]
+    if not parts:
+        raise click.BadParameter(f"needs at least one {item}")
+    return parts
+
+
+def _check_probability(ctx, param, value: float) -> float:
     if not 0.0 <= value < 1.0:
-        raise click.BadParameter("defect probability must satisfy 0 <= p < 1")
+        raise click.BadParameter(
+            f"defect probability must satisfy 0 <= p < 1, got {value}"
+        )
     return value
 
 
-def _check_probability_list(ctx, param, value):
-    if value is None:
-        return None
-    parts = [piece.strip() for piece in value.split(",") if piece.strip()]
-    if not parts:
-        raise click.BadParameter("needs at least one probability")
+def _check_probability_list(ctx, param, value: str) -> list[float]:
     probabilities = []
-    for piece in parts:
+    for piece in _split_commas(value, "probability"):
         try:
             p = float(piece)
         except ValueError:
             raise click.BadParameter(f"{piece!r} is not a number") from None
-        if not 0.0 <= p < 1.0:
-            raise click.BadParameter(
-                f"defect probability must satisfy 0 <= p < 1, got {piece}"
-            )
-        probabilities.append(p)
+        probabilities.append(_check_probability(ctx, param, p))
     return probabilities
 
 
 def _check_demand_range(ctx, param, value):
-    if value is None:
-        return None
     pieces = value.split(":")
     if len(pieces) not in (2, 3):
         raise click.BadParameter("expected START:STOP or START:STOP:STEP")
@@ -84,11 +73,8 @@ def _check_demand_range(ctx, param, value):
 def _check_sizes(ctx, param, value):
     if value is None:
         return None
-    parts = [piece.strip() for piece in value.split(",") if piece.strip()]
-    if not parts:
-        raise click.BadParameter("needs at least one batch size")
     try:
-        return tuple(int(piece) for piece in parts)
+        return tuple(int(piece) for piece in _split_commas(value, "batch size"))
     except ValueError:
         raise click.BadParameter("batch sizes must be integers") from None
 

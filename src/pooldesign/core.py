@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-# Relative tolerance within which the computed throughputs of two tied
-# batch sizes agree, and absolute/relative tolerances for comparing
-# candidate design costs.  Both sit well above double rounding noise
-# and well below any real gap between distinct small candidates.
-MU_TIE_RTOL = 1e-12
+# Absolute/relative tolerances for comparing candidate design costs:
+# well above double rounding noise and well below any real gap between
+# distinct small candidates.
 VALUE_ATOL = 1e-12
 VALUE_RTOL = 1e-12
 # Sizes n and n + 1 tie exactly when q = n / (n + 1).  A q within this
@@ -33,8 +31,6 @@ VALUE_RTOL = 1e-12
 # and of the ratio, while the throughput gap of a non-tie shrinks like
 # 1/n**2 and falls below any fixed relative tolerance as n grows.
 _TIE_ULPS = 4
-
-SOLVER_METHODS = ("dp", "sweep", "theorem", "brute")
 
 
 def values_close(a: float, b: float) -> bool:
@@ -57,17 +53,17 @@ def _int_power(base: float, exponent: int) -> float:
         b *= b
 
 
-def _check_batch_size(n: int) -> int:
+def _check_int(value: int, name: str, minimum: int | None = None) -> int:
     # Accepts any integer-like (numpy ints included), rejects bools/floats.
-    if isinstance(n, bool):
-        raise ValueError(f"batch size must be an integer, got {n!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
-        value = operator.index(n)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"batch size must be an integer, got {n!r}") from None
-    if value < 1:
-        raise ValueError(f"batch size must be at least 1, got {value}")
-    return value
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and index < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {index}")
+    return index
 
 
 def _check_q(q: float) -> None:
@@ -82,14 +78,14 @@ def _check_q(q: float) -> None:
 
 def batch_pass_probability(n: int, q: float) -> float:
     """Probability q**n that a batch of n items tests clean."""
-    n = _check_batch_size(n)
+    n = _check_int(n, "batch size", 1)
     _check_q(q)
     return _int_power(q, n)
 
 
 def batch_waiting_time(n: int, q: float) -> float:
     """Expected tests q**-n spent until a batch of size n passes."""
-    n = _check_batch_size(n)
+    n = _check_int(n, "batch size", 1)
     _check_q(q)
     value = _int_power(1.0 / q, n)
     if math.isinf(value):
@@ -102,7 +98,7 @@ def batch_waiting_time(n: int, q: float) -> float:
 
 def mu(n: int, q: float) -> float:
     """Expected items accepted per test, n * q**n, for batches of size n."""
-    n = _check_batch_size(n)
+    n = _check_int(n, "batch size", 1)
     _check_q(q)
     return n * _int_power(q, n)
 
@@ -113,26 +109,13 @@ def per_item_cost(n: int, q: float) -> float:
 
 
 @dataclass(frozen=True)
-class Prevalence:
-    """Per-item defect probability p with its complement q = 1 - p."""
-
-    p: float
-    q: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"defect probability must be in [0, 1], got {self.p}")
-        object.__setattr__(self, "q", 1.0 - self.p)
-
-
-@dataclass(frozen=True)
 class Partition:
     """Batch sizes summing to the demand, stored in ascending order."""
 
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cleaned = [_check_batch_size(n) for n in self.sizes]
+        cleaned = [_check_int(n, "batch size", 1) for n in self.sizes]
         if not cleaned:
             raise ValueError("a design needs at least one batch")
         object.__setattr__(self, "sizes", tuple(sorted(cleaned)))
@@ -162,21 +145,6 @@ def expected_waiting_time(partition: Partition | Iterable[int], q: float) -> flo
     for n in part.sizes:
         total += batch_waiting_time(n, q)
     return total
-
-
-@dataclass(frozen=True)
-class DesignSolution:
-    """A partition of the demand with its expected test count and origin."""
-
-    partition: Partition
-    expected_tests: float
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.method not in SOLVER_METHODS:
-            raise ValueError(
-                f"method must be one of {SOLVER_METHODS}, got {self.method!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,14 @@ draws themselves are rounded, and the report says so with exact=False.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     Partition,
+    _check_int,
+    _check_q,
     as_partition,
     batch_pass_probability,
     expected_waiting_time,
@@ -61,29 +62,6 @@ class SimulationReport:
     # False once a replication's total reaches 2**53, where float64
     # counts stop being exact integers.
     exact: bool
-
-
-def _check_replications(replications: int) -> int:
-    if isinstance(replications, bool):
-        raise ValueError(f"replications must be an integer, got {replications!r}")
-    try:
-        replications = operator.index(replications)
-    except TypeError:
-        raise ValueError(
-            f"replications must be an integer, got {replications!r}"
-        ) from None
-    if replications < 1:
-        raise ValueError(f"replications must be at least 1, got {replications}")
-    return replications
-
-
-def _check_seed(seed: int) -> int:
-    if isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    try:
-        return operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
 
 
 def _uniform_stream(generator: np.random.Philox, count: int) -> np.ndarray:
@@ -139,15 +117,9 @@ def simulate_design(
     design that cannot pass any test has no finite simulation either.
     """
     part = as_partition(partition)
-    if q == 0:
-        raise ValueError(
-            "per-item pass probability q = 0: every test fails, so the "
-            "waiting time is almost surely infinite"
-        )
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"per-item pass probability must be in (0, 1], got {q}")
-    replications = _check_replications(replications)
-    seed = _check_seed(seed)
+    _check_q(q)
+    replications = _check_int(replications, "replications", 1)
+    seed = _check_int(seed, "seed")
     analytic = expected_waiting_time(part, q)
 
     batches = len(part.sizes)

@@ -22,7 +22,6 @@ lexicographically smallest ascending size tuple.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -31,8 +30,9 @@ import numpy as np
 from .core import (
     VALUE_ATOL,
     VALUE_RTOL,
-    DesignSolution,
     Partition,
+    _check_int,
+    _check_q,
     expected_waiting_time,
     optimal_constant_size,
     values_close,
@@ -43,30 +43,19 @@ from .core import (
 BRUTE_FORCE_CAP = 50
 
 
-def _positive_int(value: int, what: str) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{what} must be at least 1, got {value}")
-    return value
+@dataclass(frozen=True)
+class DesignSolution:
+    """A partition of the demand with its expected test count and origin."""
 
+    partition: Partition
+    expected_tests: float
+    method: str
 
-def _check_demand(demand: int) -> int:
-    return _positive_int(demand, "demand")
-
-
-def _check_q(q: float) -> None:
-    if q == 0:
-        raise ValueError(
-            "per-item pass probability q = 0: no batch can ever pass, "
-            "so every design has infinite expected tests"
-        )
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"per-item pass probability must be in (0, 1], got {q}")
+    def __post_init__(self) -> None:
+        if self.method not in SOLVERS:
+            raise ValueError(
+                f"method must be one of {tuple(SOLVERS)}, got {self.method!r}"
+            )
 
 
 def _inverse_power_table(q: float, n_max: int) -> np.ndarray:
@@ -110,7 +99,7 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     cost(n) = min over x in 1..n of q**-x + cost(n - x),
     where x is the size of one batch and n - x the demand it leaves.
     """
-    demand = _check_demand(demand)
+    demand = _check_int(demand, "demand", 1)
     _check_q(q)
     inv = _inverse_power_table(q, demand)
     values = np.zeros(demand + 1)
@@ -152,8 +141,8 @@ def balanced_partition(demand: int, groups: int) -> Partition:
     demand = groups * floor(demand / groups) + r leaves r batches one
     item larger than the rest.
     """
-    demand = _check_demand(demand)
-    groups = _positive_int(groups, "batch count")
+    demand = _check_int(demand, "demand", 1)
+    groups = _check_int(groups, "batch count", 1)
     if groups > demand:
         raise ValueError(
             f"cannot split demand {demand} into {groups} nonempty batches"
@@ -170,7 +159,7 @@ def sweep_solve(demand: int, q: float) -> DesignSolution:
     search space collapses to one candidate per count: cost(I) =
     (I - r) * q**-floor(N/I) + r * q**-ceil(N/I) with r = N mod I.
     """
-    demand = _check_demand(demand)
+    demand = _check_int(demand, "demand", 1)
     _check_q(q)
     inv = _inverse_power_table(q, demand)
     counts = np.arange(1, demand + 1)
@@ -183,26 +172,6 @@ def sweep_solve(demand: int, q: float) -> DesignSolution:
     fewest = int(np.flatnonzero(costs <= best + tolerance)[0]) + 1
     partition = balanced_partition(demand, fewest)
     return DesignSolution(partition, expected_waiting_time(partition, q), "sweep")
-
-
-@dataclass(frozen=True)
-class TheoremInputs:
-    """How a demand divides by the constant-optimal batch size.
-
-    s full batches of that size fit, leaving theta items over
-    (0 <= theta < size).
-    """
-
-    s: int
-    theta: int
-
-
-def constant_size_split(demand: int, size: int) -> TheoremInputs:
-    """Divide the demand by a batch size: full-batch count and remainder."""
-    demand = _check_demand(demand)
-    size = _positive_int(size, "batch size")
-    s, theta = divmod(demand, size)
-    return TheoremInputs(s=s, theta=theta)
 
 
 def theorem_solve(demand: int, q: float) -> DesignSolution:
@@ -220,7 +189,7 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
 
     Equal-cost cases keep the fewer-batches candidate.
     """
-    demand = _check_demand(demand)
+    demand = _check_int(demand, "demand", 1)
     if not 0.0 < q < 1.0:
         raise ValueError(
             f"closed-form construction needs q in (0, 1), got {q}"
@@ -231,16 +200,16 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
             partition, expected_waiting_time(partition, q), "theorem"
         )
     pick = optimal_constant_size(q)
-    split = constant_size_split(demand, pick.n_star_low)
-    if split.s == 0:
+    s, theta = divmod(demand, pick.n_star_low)
+    if s == 0:
         partition = Partition((demand,))
-    elif split.theta == 0:
-        partition = Partition((pick.n_star_low,) * split.s)
-    elif split.theta <= split.s and pick.n_star_high is not None:
-        partition = balanced_partition(demand, split.s)
+    elif theta == 0:
+        partition = Partition((pick.n_star_low,) * s)
+    elif theta <= s and pick.n_star_high is not None:
+        partition = balanced_partition(demand, s)
     else:
-        fewer = balanced_partition(demand, split.s)
-        more = balanced_partition(demand, split.s + 1)
+        fewer = balanced_partition(demand, s)
+        more = balanced_partition(demand, s + 1)
         cost_fewer = expected_waiting_time(fewer, q)
         cost_more = expected_waiting_time(more, q)
         if cost_fewer < cost_more or values_close(cost_fewer, cost_more):
@@ -272,7 +241,7 @@ def brute_force_solve(
     Ground truth for the fast solvers; refuses demands above cap
     because the partition count explodes.
     """
-    demand = _check_demand(demand)
+    demand = _check_int(demand, "demand", 1)
     _check_q(q)
     if demand > cap:
         raise ValueError(
@@ -300,6 +269,15 @@ def brute_force_solve(
             best_sizes = descending[::-1]
     partition = Partition(best_sizes)
     return DesignSolution(partition, expected_waiting_time(partition, q), "brute")
+
+
+# Method name -> solver, in the order the CLI lists them.
+SOLVERS = {
+    "dp": dp_solve,
+    "sweep": sweep_solve,
+    "theorem": theorem_solve,
+    "brute": brute_force_solve,
+}
 
 
 def is_majorized_by(a: Partition | tuple[int, ...], b: Partition | tuple[int, ...]) -> bool:

@@ -16,7 +16,6 @@ from pooldesign import (
     batch_waiting_time,
     brute_force_solve,
     build_dp_table,
-    constant_size_split,
     dp_solve,
     expected_waiting_time,
     integer_partitions,
@@ -263,24 +262,6 @@ class TestSweepSolve:
 
 # ---------------------------------------------------------------------------
 # closed-form construction
-
-
-class TestConstantSizeSplit:
-    def test_known_quotients(self):
-        assert constant_size_split(250, 99) == constant_size_split(250, 99)
-        split = constant_size_split(250, 99)
-        assert (split.s, split.theta) == (2, 52)
-        assert constant_size_split(198, 99).theta == 0
-        assert constant_size_split(50, 99).s == 0
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_quotient_remainder_invariants(self, seed):
-        rng = np.random.default_rng(seed)
-        demand = int(rng.integers(1, 10_000))
-        size = int(rng.integers(1, 200))
-        split = constant_size_split(demand, size)
-        assert split.s * size + split.theta == demand
-        assert 0 <= split.theta < size
 
 
 class TestTheoremSolve:
