@@ -35,6 +35,8 @@ _TIE_ULPS = 4
 
 def values_close(a: float, b: float) -> bool:
     """True when a and b agree within the shared design-cost tolerance."""
+    if math.isinf(a) or math.isinf(b):
+        return a == b
     return abs(a - b) <= VALUE_ATOL + VALUE_RTOL * max(abs(a), abs(b))
 
 

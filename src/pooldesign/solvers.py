@@ -59,18 +59,16 @@ class DesignSolution:
 
 
 def _inverse_power_table(q: float, n_max: int) -> np.ndarray:
-    """Array t with t[n] = q**-n for n = 0..n_max; raises on overflow."""
+    """Array t with t[n] = q**-n for n = 0..n_max.
+
+    Entries past double range are inf.  Singletons always cost a finite
+    N / q, so no search picks a batch that large.
+    """
     table = np.empty(n_max + 1)
     table[0] = 1.0
     if n_max >= 1:
-        with np.errstate(over="ignore"):  # checked explicitly below
+        with np.errstate(over="ignore"):
             np.cumprod(np.full(n_max, 1.0 / q), out=table[1:])
-    overflowed = np.flatnonzero(np.isinf(table))
-    if overflowed.size:
-        raise OverflowError(
-            f"expected waiting time q**-n exceeds double precision "
-            f"for n = {int(overflowed[0])}, q = {q}"
-        )
     return table
 
 
@@ -166,7 +164,12 @@ def sweep_solve(demand: int, q: float) -> DesignSolution:
     small = demand // counts
     bumped = demand - small * counts
     large = np.minimum(small + 1, demand)  # unused when bumped == 0
-    costs = (counts - bumped) * inv[small] + bumped * inv[large]
+    with np.errstate(over="ignore"):  # an inf cost is never the minimum
+        costs = (counts - bumped) * inv[small]
+        # where bumped == 0, inv[large] may be inf and 0 * inf is nan
+        costs += np.multiply(
+            bumped, inv[large], out=np.zeros(demand), where=bumped > 0
+        )
     best = float(costs.min())
     tolerance = VALUE_ATOL + VALUE_RTOL * abs(best)
     fewest = int(np.flatnonzero(costs <= best + tolerance)[0]) + 1

@@ -87,6 +87,16 @@ class TestSolve:
         assert row["n_star"] is None
         assert row["n_star_tie"] is None
 
+    @pytest.mark.parametrize("method", ("dp", "sweep", "theorem"))
+    def test_demand_past_double_range_of_q_power(self, runner, method):
+        # q**-700 overflows at p = 0.7, but singletons cost 700 / 0.3
+        result = invoke(
+            runner, "solve", "--n", "700", "--p", "0.7", "--method", method,
+            "--format", "json",
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["partition"] == [1] * 700
+
     def test_near_tie_prints_one_constant_optimum(self, runner):
         # p = 3e-7 is close to, but not at, the 3333332/3333333 tie
         result = invoke(runner, "solve", "--n", "10", "--p", "3e-7", "--method", "theorem")
@@ -289,11 +299,11 @@ class TestExitCodes:
         "args,needle",
         [
             (("solve", "--n", "0", "--p", "0.1"), "at least 1"),
-            (("solve", "--n", "700", "--p", "0.7"), "double precision"),
+            (("simulate", "--sizes", "80000", "--p", "0.01"), "double precision"),
             (("solve", "--n", "5", "--p", "0", "--method", "theorem"), "(0, 1)"),
             (("solve", "--n", "51", "--p", "0.1", "--method", "brute"), "cap"),
             (("simulate", "--sizes", "3", "--p", "0.1", "--reps", "0"), "at least 1"),
-            (("table", "--n-range", "500:700:100", "--p-list", "0.7"), "double precision"),
+            (("simulate", "--sizes", "2,600", "--p", "0.7"), "double precision"),
         ],
     )
     def test_domain_errors_exit_3_with_reason(self, runner, args, needle):
@@ -307,6 +317,8 @@ class TestExitCodes:
             ("solve", "--n", "10", "--p", "0.1"),
             ("simulate", "--sizes", "2", "--p", "0.1", "--reps", "10", "--seed", "0"),
             ("table", "--n-range", "1:3", "--p-list", "0.1"),
+            ("solve", "--n", "700", "--p", "0.7"),
+            ("table", "--n-range", "500:700:100", "--p-list", "0.7"),
         ],
     )
     def test_success_exits_0(self, runner, args):

@@ -217,6 +217,11 @@ class TestValuesClose:
     def test_clear_gap(self):
         assert not values_close(1.0, 1.001)
 
+    def test_infinity_is_close_only_to_itself(self):
+        assert not values_close(math.inf, 1.0)
+        assert not values_close(1e308, math.inf)
+        assert values_close(math.inf, math.inf)
+
 
 # ---------------------------------------------------------------------------
 # constant-size optimum against the scan oracle

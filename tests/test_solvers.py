@@ -92,6 +92,13 @@ class TestBruteForce:
     def test_method_label(self):
         assert brute_force_solve(3, 0.9).method == "brute"
 
+    def test_infinite_batch_costs_lose(self):
+        # q**-n passes double range from n = 16 at q = 1e-20, so the first
+        # partitions enumerated cost inf; the finite singletons must win
+        sol = brute_force_solve(20, 1e-20)
+        assert sol.partition.sizes == (1,) * 20
+        assert math.isfinite(sol.expected_tests)
+
     @pytest.mark.parametrize("n", (1, 4, 9, 15))
     def test_never_beaten_by_any_partition(self, n):
         # the solver's own enumeration re-checked value by value
@@ -174,8 +181,9 @@ class TestDpSolve:
         assert sol.expected_tests == expected_waiting_time(sol.partition, 0.9)
 
     def test_overflow_propagates(self):
-        with pytest.raises(OverflowError):
-            dp_solve(600, 0.3)
+        # q**-n overflows from n = 590 on; those batch sizes cost inf in
+        # the table and are never picked, so the finite optimum comes back
+        assert dp_solve(600, 0.3).partition.sizes == (1,) * 600
 
     def test_runs_just_below_the_overflow_edge(self):
         sol = dp_solve(589, 0.3)
@@ -256,8 +264,8 @@ class TestSweepSolve:
             assert max(sizes) - min(sizes) <= 1
 
     def test_overflow_propagates(self):
-        with pytest.raises(OverflowError):
-            sweep_solve(600, 0.3)
+        # counts whose balanced batches cost inf lose to the singletons
+        assert sweep_solve(600, 0.3).partition.sizes == (1,) * 600
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +327,21 @@ class TestSolverContract:
     def test_ascending_canonical_order(self, solver):
         sizes = solver(29, 0.97).partition.sizes
         assert sizes == tuple(sorted(sizes))
+
+
+    @pytest.mark.parametrize(
+        "demand,q", [(1500, 0.5), (1100, 0.5), (2000, 0.7)]
+    )
+    def test_agreement_past_double_range_of_the_power_table(self, demand, q):
+        # q**-demand overflows, yet every exact solver finds the optimum
+        costs = {solver(demand, q).expected_tests for solver in SOLVERS[:3]}
+        assert len(costs) == 1
+
+    def test_sweep_and_theorem_agree_at_large_demand(self):
+        demand, q = 100_000, 0.99
+        assert sweep_solve(demand, q).expected_tests == pytest.approx(
+            theorem_solve(demand, q).expected_tests, rel=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
