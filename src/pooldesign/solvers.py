@@ -79,7 +79,11 @@ class DpTable:
     values[n] is the optimal expected test count for demand n
     (values[0] = 0); choices[n] is the size of the batch an optimal
     design for demand n uses alongside an optimal design for demand
-    n - choices[n].  Among equal-value choices the largest is stored.
+    n - choices[n].  Among the choices within the shared cost tolerance
+    of the minimum, the largest is stored.  It leaves the smallest
+    demand, and the fewest batches an optimal design needs never grows
+    as the demand shrinks, so the stored design has the fewest batches
+    and, among those, the largest batch.
     """
 
     values: np.ndarray
@@ -102,17 +106,15 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     inv = _inverse_power_table(q, demand)
     values = np.zeros(demand + 1)
     choices = np.zeros(demand + 1, dtype=np.int64)
-    values[1] = inv[1]
-    choices[1] = 1
-    for n in range(2, demand + 1):
-        # candidates[x - 1] = cost of one batch of x plus the rest
-        candidates = inv[1 : n + 1] + values[n - 1 :: -1]
-        # argmin over the reversed array lands on the largest
-        # minimizing batch size, the documented tie-break
-        reversed_view = candidates[::-1]
-        offset = int(np.argmin(reversed_view))
-        values[n] = reversed_view[offset]
-        choices[n] = n - offset
+    for n in range(1, demand + 1):
+        # candidates[j] = cost of one batch of n - j plus the j items left
+        candidates = inv[n:0:-1] + values[:n]
+        best = float(candidates.min())
+        tolerance = VALUE_ATOL + VALUE_RTOL * best
+        # the first j within tolerance is the largest batch size
+        j = int((candidates <= best + tolerance).argmax())
+        values[n] = candidates[j]
+        choices[n] = n - j
     return DpTable(values=values, choices=choices)
 
 
@@ -180,15 +182,16 @@ def sweep_solve(demand: int, q: float) -> DesignSolution:
 def theorem_solve(demand: int, q: float) -> DesignSolution:
     """Optimum from the closed-form construction, for 0 < q < 1.
 
-    For q <= 1/2 singleton batches are optimal.  Otherwise let n* be
-    the constant-size optimum and s, theta the quotient and remainder
-    of the demand by n*:
+    Let n* be the constant-size optimum (1 for q < 1/2, where singleton
+    batches are optimal) and s, theta the quotient and remainder of the
+    demand by n*:
 
-    - theta = 0: s batches of n*.
-    - 1 <= theta <= s when n* ties with n* + 1: balance over s batches
-      (grows theta of them by one).
-    - anything else: the better of balancing over s or s + 1 batches.
     - s = 0 (demand below n*): a single batch holds everything.
+    - n* ties with n* + 1 and ceil(N / (n* + 1)) batches of at least n*
+      fit: balance over that many, the fewest batches of optimal sizes.
+      At q = 1/2 that makes pairs, plus one single for odd N.
+    - theta = 0: s batches of n*.
+    - anything else: the better of balancing over s or s + 1 batches.
 
     Equal-cost cases keep the fewer-batches candidate.
     """
@@ -197,19 +200,15 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
         raise ValueError(
             f"closed-form construction needs q in (0, 1), got {q}"
         )
-    if q <= 0.5:
-        partition = Partition((1,) * demand)
-        return DesignSolution(
-            partition, expected_waiting_time(partition, q), "theorem"
-        )
     pick = optimal_constant_size(q)
     s, theta = divmod(demand, pick.n_star_low)
+    fewest = -(-demand // (pick.n_star_low + 1))
     if s == 0:
         partition = Partition((demand,))
+    elif pick.n_star_high is not None and fewest * pick.n_star_low <= demand:
+        partition = balanced_partition(demand, fewest)
     elif theta == 0:
         partition = Partition((pick.n_star_low,) * s)
-    elif theta <= s and pick.n_star_high is not None:
-        partition = balanced_partition(demand, s)
     else:
         fewer = balanced_partition(demand, s)
         more = balanced_partition(demand, s + 1)

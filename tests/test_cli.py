@@ -97,6 +97,12 @@ class TestSolve:
         assert result.exit_code == 0
         assert json.loads(result.output)["partition"] == [1] * 700
 
+    @pytest.mark.parametrize("method", ("dp", "sweep", "theorem", "brute"))
+    def test_pairs_win_the_tie_at_half(self, runner, method):
+        result = invoke(runner, "solve", "--n", "10", "--p", "0.5", "--method", method)
+        assert result.exit_code == 0
+        assert "batches:          2|2|2|2|2\n" in result.output
+
     def test_near_tie_prints_one_constant_optimum(self, runner):
         # p = 3e-7 is close to, but not at, the 3333332/3333333 tie
         result = invoke(runner, "solve", "--n", "10", "--p", "3e-7", "--method", "theorem")

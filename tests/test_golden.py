@@ -31,4 +31,15 @@ def test_stdout_matches_golden(runner, entry):
     if not isinstance(result.exception, (SystemExit, type(None))):
         raise result.exception
     assert result.exit_code == entry["exit_code"]
-    assert result.stdout == entry["stdout"]
+    # compared as a flag: pytest's own diff of long outputs takes minutes
+    same = result.stdout == entry["stdout"]
+    assert same, first_difference(entry["stdout"], result.stdout)
+
+
+def first_difference(expected: str, got: str) -> str:
+    expected_lines = expected.splitlines(keepends=True)
+    got_lines = got.splitlines(keepends=True)
+    for number, (want, have) in enumerate(zip(expected_lines, got_lines), start=1):
+        if want != have:
+            return f"line {number}: expected {want[:200]!r}, got {have[:200]!r}"
+    return f"expected {len(expected_lines)} lines, got {len(got_lines)}"

@@ -276,7 +276,10 @@ class TestTheoremSolve:
     @pytest.mark.parametrize("q", (0.2, 0.4, 0.5))
     @pytest.mark.parametrize("n", (1, 2, 7, 12))
     def test_at_or_below_half_uses_singletons(self, n, q):
-        assert theorem_solve(n, q).partition.sizes == (1,) * n
+        # at q = 1/2 pairs tie with singletons and the fewest batches
+        # win: ceil(n / 2) of them, e.g. 7 -> 1|2|2|2
+        expected = (1,) * n if q < 0.5 else (1,) * (n % 2) + (2,) * (n // 2)
+        assert theorem_solve(n, q).partition.sizes == expected
 
     def test_demand_below_constant_optimum_is_one_batch(self):
         assert theorem_solve(50, 0.99).partition.sizes == (50,)
@@ -334,14 +337,25 @@ class TestSolverContract:
     )
     def test_agreement_past_double_range_of_the_power_table(self, demand, q):
         # q**-demand overflows, yet every exact solver finds the optimum
-        costs = {solver(demand, q).expected_tests for solver in SOLVERS[:3]}
-        assert len(costs) == 1
+        designs = {solver(demand, q).partition for solver in SOLVERS[:3]}
+        assert len(designs) == 1
 
     def test_sweep_and_theorem_agree_at_large_demand(self):
+        # q = 0.99 ties 99 with 100: both pick 1000 batches of 100
         demand, q = 100_000, 0.99
-        assert sweep_solve(demand, q).expected_tests == pytest.approx(
-            theorem_solve(demand, q).expected_tests, rel=1e-12
-        )
+        assert sweep_solve(demand, q).partition.sizes == (100,) * 1000
+        assert theorem_solve(demand, q).partition == sweep_solve(demand, q).partition
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 9, 19, 99))
+    def test_one_tie_rule_at_tied_constant_sizes(self, k):
+        # q = k / (k + 1) ties sizes k and k + 1, so many designs share
+        # the optimal cost; every exact solver returns the one with the
+        # fewest batches
+        q = k / (k + 1)
+        for demand in range(1, 301):
+            expected = sweep_solve(demand, q).partition
+            assert dp_solve(demand, q).partition == expected, demand
+            assert theorem_solve(demand, q).partition == expected, demand
 
 
 # ---------------------------------------------------------------------------
