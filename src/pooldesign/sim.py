@@ -133,7 +133,8 @@ def simulate_design(
         counts = _uniform_stream(generator, rows * batches).reshape(rows, batches)
         np.negative(counts, out=counts)
         np.log1p(counts, out=counts)
-        counts /= log_fail
+        with np.errstate(over="ignore"):  # draws past double range are inf
+            counts /= log_fail
         np.ceil(counts, out=counts)
         np.maximum(counts, 1.0, out=counts)
         totals = counts.sum(axis=1)

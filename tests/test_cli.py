@@ -6,10 +6,15 @@ of the simulate subcommand.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import pooldesign
 from pooldesign import expected_waiting_time
 from pooldesign.cli import main
 
@@ -189,6 +194,21 @@ class TestSimulate:
         assert result.stdout.startswith("batches:          5000\n")
         assert "warning" not in result.stdout
         [line] = result.stderr.splitlines()
+        assert line.startswith("warning: ")
+
+    def test_overflowing_draws_warn_once(self):
+        # q**-1022 at p = 0.5 is about 4.5e307: some draws pass double
+        # range, and only the program's own one-line warning appears.
+        # A real process, since pytest would capture numpy's warnings.
+        src = str(Path(pooldesign.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "pooldesign", "simulate", "--sizes", "1022",
+             "--p", "0.5", "--reps", "100"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0
+        [line] = done.stderr.splitlines()
         assert line.startswith("warning: ")
 
     def test_exact_counts_leave_stderr_empty(self, runner):
