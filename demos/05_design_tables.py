@@ -31,7 +31,7 @@ def main():
 
     print("\nReading the table:")
     print(" - cheap tests come from pooling near the constant optimum n*")
-    print(" - as p grows the optimum shrinks, hitting single items at p >= 1/2")
+    print(" - as p grows the optimum shrinks, to pairs at p = 1/2 and single items past it")
     print(" - expected tests fall as quality improves, for the same demand")
 
 

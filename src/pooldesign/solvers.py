@@ -16,8 +16,12 @@ All solvers return a DesignSolution whose expected_tests is recomputed
 from the returned partition with expected_waiting_time, so equal
 partitions report bitwise-equal values regardless of the route taken.
 
-Ties are broken the same way everywhere: prefer fewer batches, then the
-lexicographically smallest ascending size tuple.
+One tie rule holds everywhere: among designs within the shared cost
+tolerance of the optimum, the fewest batches win.  The cost is
+Schur-convex, so for a fixed batch count only the balanced split is
+optimal and the rule leaves one design; brute_force_solve settles any
+rounding near-tie by the lexicographically smallest ascending sizes.
+SOLVERS maps each method name to its solver.
 """
 
 from __future__ import annotations
