@@ -80,14 +80,14 @@ def _inverse_power_table(q: float, n_max: int) -> np.ndarray:
 class DpTable:
     """Dynamic-programming table over demands 0..N.
 
-    values[n] is the optimal expected test count for demand n
-    (values[0] = 0); choices[n] is the size of the batch an optimal
-    design for demand n uses alongside an optimal design for demand
-    n - choices[n].  Among the choices within the shared cost tolerance
-    of the minimum, the largest is stored.  It leaves the smallest
-    demand, and the fewest batches an optimal design needs never grows
-    as the demand shrinks, so the stored design has the fewest batches
-    and, among those, the largest batch.
+    values[n] is the expected test count of the design stored for
+    demand n (values[0] = 0), optimal within the shared cost tolerance;
+    choices[n] is the size of the batch that design uses alongside the
+    one stored for demand n - choices[n].  Among the choices within that
+    tolerance of the minimum, the largest is stored.  It leaves the
+    smallest demand, and the fewest batches an optimal design needs
+    never grows as the demand shrinks, so the stored design has the
+    fewest batches and, among those, the largest batch.
     """
 
     values: np.ndarray

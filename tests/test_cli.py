@@ -343,7 +343,6 @@ class TestExitCodes:
             ("solve", "--n", "10", "--p", "0.1"),
             ("simulate", "--sizes", "2", "--p", "0.1", "--reps", "10", "--seed", "0"),
             ("table", "--n-range", "1:3", "--p-list", "0.1"),
-            ("solve", "--n", "700", "--p", "0.7"),
             ("table", "--n-range", "500:700:100", "--p-list", "0.7"),
         ],
     )
