@@ -16,11 +16,12 @@ All solvers return a DesignSolution whose expected_tests is recomputed
 from the returned partition with expected_waiting_time, so equal
 partitions report bitwise-equal values regardless of the route taken.
 
-One tie rule holds everywhere: among designs within the shared cost
+The solvers share one tie rule: among designs within the shared cost
 tolerance of the optimum, the fewest batches win.  The cost is
-Schur-convex, so for a fixed batch count only the balanced split is
-optimal and the rule leaves one design; brute_force_solve settles any
-rounding near-tie by the lexicographically smallest ascending sizes.
+Schur-convex, so at a real tie (q = k / (k + 1)) the rule leaves one
+design and every solver returns it; brute_force_solve settles rounding
+near-ties by the smallest ascending sizes.  Just off a tie the solvers
+may return different designs, each within the tolerance of the optimum.
 SOLVERS maps each method name to its solver.
 """
 
@@ -80,14 +81,16 @@ def _inverse_power_table(q: float, n_max: int) -> np.ndarray:
 class DpTable:
     """Dynamic-programming table over demands 0..N.
 
-    values[n] is the expected test count of the design stored for
-    demand n (values[0] = 0), optimal within the shared cost tolerance;
-    choices[n] is the size of the batch that design uses alongside the
-    one stored for demand n - choices[n].  Among the choices within that
-    tolerance of the minimum, the largest is stored.  It leaves the
-    smallest demand, and the fewest batches an optimal design needs
-    never grows as the demand shrinks, so the stored design has the
-    fewest batches and, among those, the largest batch.
+    values[n] is the optimal expected test count for demand n
+    (values[0] = 0); choices[n] is the size of one batch of the design
+    stored for demand n, alongside the one stored for demand
+    n - choices[n].  The stored design costs within the shared cost
+    tolerance of values[n], and among the choices that keep it there the
+    largest is stored.  At a real tie that choice leaves the smallest
+    demand, and the fewest batches an optimal design needs never grows
+    as the demand shrinks, so the stored design has the fewest batches
+    and, among those, the largest batch.  Just off a tie the stored
+    design may hold more batches than the fewest within the tolerance.
     """
 
     values: np.ndarray
@@ -109,15 +112,23 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     _check_q(q)
     inv = _inverse_power_table(q, demand)
     values = np.zeros(demand + 1)
+    # stored[n] is the cost of the stored design.  It is held within one
+    # tolerance of the exact minimum values[n], so the slack a design
+    # inherits from its sub-designs never adds up past that.
+    stored = np.zeros(demand + 1)
     choices = np.zeros(demand + 1, dtype=np.int64)
     for n in range(1, demand + 1):
         # candidates[j] = cost of one batch of n - j plus the j items left
-        candidates = inv[n:0:-1] + values[:n]
-        best = float(candidates.min())
-        tolerance = VALUE_ATOL + VALUE_RTOL * best
+        batch = inv[n:0:-1]
+        candidates = batch + values[:n]
+        exact = int(candidates.argmin())
+        best = float(candidates[exact])
+        within = batch + stored[:n] <= best + VALUE_ATOL + VALUE_RTOL * best
+        within[exact] = True  # in case rounding pushes the minimum out
         # the first j within tolerance is the largest batch size
-        j = int((candidates <= best + tolerance).argmax())
-        values[n] = candidates[j]
+        j = int(within.argmax())
+        values[n] = best
+        stored[n] = batch[j] + stored[j]
         choices[n] = n - j
     return DpTable(values=values, choices=choices)
 
@@ -254,7 +265,8 @@ def brute_force_solve(
             f"demand {demand} exceeds the exhaustive-search cap {cap}; "
             f"pass a larger cap to force the enumeration anyway"
         )
-    inv = _inverse_power_table(q, demand)
+    # Python floats: a sum past double range is inf, with no numpy warning
+    inv = _inverse_power_table(q, demand).tolist()
     best_cost: float | None = None
     best_sizes: tuple[int, ...] | None = None
     for descending in integer_partitions(demand):

@@ -108,6 +108,21 @@ class TestSolve:
         assert result.exit_code == 0
         assert "batches:          2|2|2|2|2\n" in result.output
 
+    def test_brute_past_double_range_leaves_stderr_empty(self):
+        # q**-25 is about 1e308 at p = 1 - 4.79e-13, so some partitions
+        # sum past double range; they lose quietly to the singletons.
+        # A real process, since pytest would capture numpy's warnings.
+        src = str(Path(pooldesign.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "pooldesign", "solve", "--method", "brute",
+             "--n", "50", "--p", "0.9999999999995214"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert f"batches:          {'|'.join(['1'] * 50)}\n" in done.stdout
+
     def test_near_tie_prints_one_constant_optimum(self, runner):
         # p = 3e-7 is close to, but not at, the 3333332/3333333 tie
         result = invoke(runner, "solve", "--n", "10", "--p", "3e-7", "--method", "theorem")

@@ -22,6 +22,7 @@ from pooldesign import (
     is_majorized_by,
     sweep_solve,
     theorem_solve,
+    values_close,
 )
 
 Q_GRID = (0.3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99)
@@ -356,6 +357,24 @@ class TestSolverContract:
             expected = sweep_solve(demand, q).partition
             assert dp_solve(demand, q).partition == expected, demand
             assert theorem_solve(demand, q).partition == expected, demand
+
+    @pytest.mark.parametrize(
+        "demand,q",
+        [
+            (1000, 0.5 - 1.25e-10),  # a pair costs about 1e-9 over two singles
+            (2000, 0.5 - 1.25e-10),
+            (1000, 0.5 + 1.25e-10),
+            (1000, 0.9 - 1e-12),
+            (3000, 0.99 - 1e-13),
+        ],
+    )
+    def test_near_a_tie_designs_stay_within_one_tolerance(self, demand, q):
+        # just off q = k / (k + 1) each tied-looking swap costs a little
+        # less than the tolerance; the swaps a design takes must not add
+        # up past it
+        optimum = theorem_solve(demand, q).expected_tests
+        for solver in SOLVERS[:2]:
+            assert values_close(solver(demand, q).expected_tests, optimum)
 
 
 # ---------------------------------------------------------------------------
