@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     Partition,
@@ -41,6 +40,9 @@ from .core import (
     batch_pass_probability,
     expected_waiting_time,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Stream words read per chunk, rounded down to whole replications (at
 # least one): the working set of one call, whatever its replication count.
@@ -65,6 +67,10 @@ class SimulationReport:
 
 
 def _uniform_stream(generator: np.random.Philox, count: int) -> np.ndarray:
+    # numpy is imported here and in the two functions below, not at module
+    # level, so that importing the package or starting the CLI skips it.
+    import numpy as np
+
     # Philox is counter-based: the same key always yields the same word
     # sequence, independent of platform, numpy version and of how the
     # sequence is split across calls.
@@ -84,6 +90,8 @@ def _log_fail(n: int, q: float) -> float:
 
 def _integer_sums(totals: np.ndarray, top: float) -> tuple[int, int]:
     """Exact sum and sum of squares of integral, finite float64 totals."""
+    import numpy as np
+
     if len(totals) * int(top) ** 2 < 2**63:
         ints = totals.astype(np.int64)
         return int(ints.sum()), int(np.dot(ints, ints))
@@ -121,6 +129,8 @@ def simulate_design(
     replications = _check_int(replications, "replications", 1)
     seed = _check_int(seed, "seed")
     analytic = expected_waiting_time(part, q)
+
+    import numpy as np
 
     batches = len(part.sizes)
     rows_per_chunk = max(1, _CHUNK_WORDS // batches)

@@ -28,9 +28,7 @@ SOLVERS maps each method name to its solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     VALUE_ATOL,
@@ -42,6 +40,9 @@ from .core import (
     optimal_constant_size,
     values_close,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Partition counts grow super-polynomially (N = 50 already has ~200k),
 # so the exhaustive solver refuses larger demands unless overridden.
@@ -69,11 +70,29 @@ def _inverse_power_table(q: float, n_max: int) -> np.ndarray:
     Entries past double range are inf.  Singletons always cost a finite
     N / q, so no search picks a batch that large.
     """
+    # numpy is imported inside the functions that compute with arrays, not
+    # at module level, so that the closed-form and exhaustive solvers and
+    # the CLI's start-up never load it.
+    import numpy as np
+
     table = np.empty(n_max + 1)
     table[0] = 1.0
     if n_max >= 1:
         with np.errstate(over="ignore"):
             np.cumprod(np.full(n_max, 1.0 / q), out=table[1:])
+    return table
+
+
+def _inverse_power_list(q: float, n_max: int) -> list[float]:
+    """_inverse_power_table(q, n_max) as Python floats, without numpy.
+
+    The same left-to-right products as np.cumprod, so bit-identical;
+    float multiplication overflows to inf without a warning.
+    """
+    step = 1.0 / q
+    table = [1.0]
+    for _ in range(n_max):
+        table.append(table[-1] * step)
     return table
 
 
@@ -110,6 +129,8 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     """
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
+    import numpy as np
+
     inv = _inverse_power_table(q, demand)
     values = np.zeros(demand + 1)
     # stored[n] is the cost of the stored design.  It is held within one
@@ -176,6 +197,8 @@ def sweep_solve(demand: int, q: float) -> DesignSolution:
     """
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
+    import numpy as np
+
     inv = _inverse_power_table(q, demand)
     counts = np.arange(1, demand + 1)
     small = demand // counts
@@ -266,7 +289,7 @@ def brute_force_solve(
             f"pass a larger cap to force the enumeration anyway"
         )
     # Python floats: a sum past double range is inf, with no numpy warning
-    inv = _inverse_power_table(q, demand).tolist()
+    inv = _inverse_power_list(q, demand)
     best_cost: float | None = None
     best_sizes: tuple[int, ...] | None = None
     for descending in integer_partitions(demand):

@@ -24,6 +24,7 @@ from pooldesign import (
     theorem_solve,
     values_close,
 )
+from pooldesign.solvers import _inverse_power_list, _inverse_power_table
 
 Q_GRID = (0.3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99)
 SOLVERS = (dp_solve, sweep_solve, theorem_solve, brute_force_solve)
@@ -99,6 +100,17 @@ class TestBruteForce:
         sol = brute_force_solve(20, 1e-20)
         assert sol.partition.sizes == (1,) * 20
         assert math.isfinite(sol.expected_tests)
+
+    # q = 1, the ties k / (k + 1), and q = 1e-7, whose table passes
+    # double range from n = 45
+    @pytest.mark.parametrize("q", (1.0, 1 / 2, 2 / 3, 3 / 4, 9 / 10, 99 / 100, 0.3, 0.85, 1e-7))
+    def test_power_list_is_bit_identical_to_the_numpy_table(self, q):
+        for n in range(BRUTE_FORCE_CAP + 1):
+            got = _inverse_power_list(q, n)
+            want = _inverse_power_table(q, n).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        if q == 1e-7:
+            assert math.isinf(got[-1])
 
     @pytest.mark.parametrize("n", (1, 4, 9, 15))
     def test_never_beaten_by_any_partition(self, n):

@@ -1,0 +1,108 @@
+"""Which paths load numpy, checked in fresh interpreters.
+
+Only the dp and sweep solvers and the simulator compute with arrays, so
+only they import numpy.  Importing the package, starting the CLI, help,
+flag and domain errors, and the theorem and brute solvers run without
+it.  pytest has already imported numpy, so every case runs in its own
+`python -m pooldesign` process and reports `sys.modules` at exit.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import pooldesign
+from pooldesign.cli import main
+
+SRC = str(Path(pooldesign.__file__).resolve().parents[1])
+
+# Runs `python -m pooldesign ARGS...`, then writes whether numpy was
+# loaded as the last line of stderr, whatever the exit status.
+PROBE = """\
+import runpy, sys
+try:
+    runpy.run_module("pooldesign", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n")
+"""
+
+
+def run_fresh(*args):
+    """Exit code, stdout, stderr and whether numpy was loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    stderr, _, verdict = done.stderr.rstrip("\n").rpartition("\n")
+    assert verdict in ("numpy loaded: True", "numpy loaded: False"), done.stderr
+    return done.returncode, done.stdout, stderr, verdict == "numpy loaded: True"
+
+
+@pytest.mark.parametrize("module", ("pooldesign", "pooldesign.cli"))
+def test_import_skips_numpy(module):
+    code = (
+        f"import sys, {module}\n"
+        "print('numpy' in sys.modules)\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('pooldesign.')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded, modules = done.stdout.splitlines()
+    assert loaded == "False"
+    # the numpy import moved, never a module: the CLI still loads them all
+    assert {"pooldesign.core", "pooldesign.solvers", "pooldesign.sim"} <= set(modules.split())
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("--help",), 0),
+        (("solve", "--help"), 0),
+        *[
+            (("solve", "--n", "250", "--p", "0.01", "--method", "theorem", "--format", fmt), 0)
+            for fmt in ("text", "json", "csv")
+        ],
+        *[
+            (("solve", "--n", "20", "--p", "0.1", "--method", "brute", "--format", fmt), 0)
+            for fmt in ("text", "json", "csv")
+        ],
+        (("table", "--n-range", "1:300:7", "--p-list", "0.01,0.5", "--method", "theorem"), 0),
+        (("solve", "--n", "5", "--p", "1.5"), 2),
+        (("simulate", "--p", "0.1"), 2),
+        # domain errors are raised before any array is built, dp included
+        (("solve", "--n", "0", "--p", "0.1"), 3),
+        (("solve", "--n", "51", "--p", "0.1", "--method", "brute"), 3),
+        (("simulate", "--sizes", "80000", "--p", "0.01"), 3),
+    ],
+)
+def test_paths_without_arrays_skip_numpy(args, code):
+    returncode, _, stderr, numpy_loaded = run_fresh(*args)
+    assert returncode == code, stderr
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--n", "250", "--p", "0.01", "--method", "dp"),
+        ("solve", "--n", "1000", "--p", "0.05", "--method", "sweep", "--format", "json"),
+        ("simulate", "--sizes", "83,83,84", "--p", "0.01", "--reps", "1000", "--seed", "3"),
+        ("simulate", "--n", "20", "--p", "0.1", "--method", "theorem", "--reps", "500",
+         "--format", "json"),
+    ],
+)
+def test_array_paths_load_numpy_and_match_in_process_output(args):
+    returncode, stdout, stderr, numpy_loaded = run_fresh(*args)
+    assert returncode == 0, stderr
+    assert numpy_loaded
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 0
+    assert stdout == result.stdout
