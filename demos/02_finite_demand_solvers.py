@@ -6,7 +6,7 @@ the sum of q**-n over its batches.  The package ships four solvers
 with identical answers and very different costs:
 
   dp       exact, O(N^2): table over every sub-demand
-  sweep    exact, O(N): one balanced candidate per batch count
+  sweep    exact, one balanced candidate per batch count that can win
   theorem  closed form built from the constant-size optimum
   brute    every integer partition; ground truth for small N
 """

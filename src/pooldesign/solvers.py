@@ -4,9 +4,10 @@ Four routes to the same question, cheapest expected total tests
 sum of q**-n_i over batch sizes n_i summing to N:
 
 - dp_solve: exact O(N^2) dynamic program over the demand.
-- sweep_solve: exact O(N) scan that exploits a convexity fact: among
+- sweep_solve: exact scan that exploits a convexity fact: among
   designs with a fixed number of batches, the most balanced one (sizes
-  differing by at most one) is optimal.
+  differing by at most one) is optimal.  It prices only the batch
+  counts near N / n* that can win, in plain Python.
 - theorem_solve: closed-form construction from the constant-size
   optimum; valid for 0 < q < 1.
 - brute_force_solve: enumerates every integer partition of the demand.
@@ -27,7 +28,9 @@ SOLVERS maps each method name to its solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator
 
 from .core import (
@@ -36,6 +39,7 @@ from .core import (
     Partition,
     _check_int,
     _check_q,
+    as_partition,
     expected_waiting_time,
     optimal_constant_size,
     values_close,
@@ -44,8 +48,12 @@ from .core import (
 if TYPE_CHECKING:
     import numpy as np
 
+# Added to the tie tolerance in _sweep_window's split test, so that the
+# rounding of its logarithms can only widen the window.
+_SPLIT_SLACK = 1e-9
+
 # Partition counts grow super-polynomially (N = 50 already has ~200k),
-# so the exhaustive solver refuses larger demands unless overridden.
+# so the exhaustive solver refuses larger demands.
 BRUTE_FORCE_CAP = 50
 
 
@@ -64,30 +72,12 @@ class DesignSolution:
             )
 
 
-def _inverse_power_table(q: float, n_max: int) -> np.ndarray:
-    """Array t with t[n] = q**-n for n = 0..n_max.
+def _inverse_power_table(q: float, n_max: int) -> list[float]:
+    """List t with t[n] = q**-n for n = 0..n_max, as Python floats.
 
-    Entries past double range are inf.  Singletons always cost a finite
-    N / q, so no search picks a batch that large.
-    """
-    # numpy is imported inside the functions that compute with arrays, not
-    # at module level, so that the closed-form and exhaustive solvers and
-    # the CLI's start-up never load it.
-    import numpy as np
-
-    table = np.empty(n_max + 1)
-    table[0] = 1.0
-    if n_max >= 1:
-        with np.errstate(over="ignore"):
-            np.cumprod(np.full(n_max, 1.0 / q), out=table[1:])
-    return table
-
-
-def _inverse_power_list(q: float, n_max: int) -> list[float]:
-    """_inverse_power_table(q, n_max) as Python floats, without numpy.
-
-    The same left-to-right products as np.cumprod, so bit-identical;
-    float multiplication overflows to inf without a warning.
+    Left-to-right products, as np.cumprod forms them; a product past
+    double range is inf, without a warning.  Singletons always cost a
+    finite N / q, so no search picks a batch that large.
     """
     step = 1.0 / q
     table = [1.0]
@@ -129,9 +119,11 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     """
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
+    # numpy is imported here, not at module level, so that the other
+    # solvers and the CLI's start-up never load it.
     import numpy as np
 
-    inv = _inverse_power_table(q, demand)
+    inv = np.array(_inverse_power_table(q, demand))
     values = np.zeros(demand + 1)
     # stored[n] is the cost of the stored design.  It is held within one
     # tolerance of the exact minimum values[n], so the slack a design
@@ -188,31 +180,54 @@ def balanced_partition(demand: int, groups: int) -> Partition:
     return Partition(sizes)
 
 
+def _sweep_window(demand: int, q: float) -> range:
+    """The batch counts that can hold sweep's answer.
+
+    Two batches below x_min, the least x with q**-x > 2, merge at no
+    extra cost, so the answer holds at most one.  A batch above x_max
+    splits at a saving past the tie tolerance: an even 2k once a = q**-k
+    has a * (a - 2) above it, an odd 2k + 1 once b = q**-(k + 1) has
+    q * b**2 - (1 + q) * b above it (at zero tolerance, q**-k > 2 and
+    q**-(k + 1) > 1 + 1/q).  So the answer lies in
+    [ceil(N / x_max), floor(N / x_min) + 1]: count 1 for q = 1, and
+    count N for q < 1/2 unless pairs fall within the tolerance.
+    """
+    if q == 1.0:
+        return range(1, 2)
+    # the table's own ratio: q**-x > c  <=>  x * rate > log(c)
+    rate = math.log(1.0 / q)
+    x_min = int(math.log(2.0) / rate) + 1
+    # N singletons cost N / q, which bounds the best cost
+    margin = VALUE_ATOL + VALUE_RTOL * demand / q + _SPLIT_SLACK
+    # sizes past N do not matter, and capping keeps int() finite
+    even_half = int(min(demand, math.log1p(math.sqrt(1.0 + margin)) / rate))
+    root = (1.0 + q + math.sqrt((1.0 + q) ** 2 + 4.0 * q * margin)) / 2.0
+    odd_half = int(min(demand, 1.0 + math.log(root) / rate))
+    x_max = max(2 * even_half, 2 * odd_half - 1)
+    return range(-(-demand // x_max), min(demand, demand // x_min + 1) + 1)
+
+
 def sweep_solve(demand: int, q: float) -> DesignSolution:
     """Exact optimum by scanning batch counts with balanced splits.
 
     For a fixed batch count the balanced split is optimal, so the
     search space collapses to one candidate per count: cost(I) =
     (I - r) * q**-floor(N/I) + r * q**-ceil(N/I) with r = N mod I.
+    Only the counts in _sweep_window can hold the answer.
     """
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
-    import numpy as np
-
-    inv = _inverse_power_table(q, demand)
-    counts = np.arange(1, demand + 1)
-    small = demand // counts
-    bumped = demand - small * counts
-    large = np.minimum(small + 1, demand)  # unused when bumped == 0
-    with np.errstate(over="ignore"):  # an inf cost is never the minimum
-        costs = (counts - bumped) * inv[small]
-        # where bumped == 0, inv[large] may be inf and 0 * inf is nan
-        costs += np.multiply(
-            bumped, inv[large], out=np.zeros(demand), where=bumped > 0
-        )
-    best = float(costs.min())
-    tolerance = VALUE_ATOL + VALUE_RTOL * abs(best)
-    fewest = int(np.flatnonzero(costs <= best + tolerance)[0]) + 1
+    window = _sweep_window(demand, q)
+    # the window's fewest batches are its largest
+    inv = _inverse_power_table(q, -(-demand // window.start))
+    costs = []
+    for count in window:
+        small, bumped = divmod(demand, count)
+        cost = (count - bumped) * inv[small]
+        costs.append(cost + bumped * inv[small + 1] if bumped else cost)
+    best = min(costs)
+    limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
+    fewest = window[next(i for i, cost in enumerate(costs) if cost <= limit)]
     partition = balanced_partition(demand, fewest)
     return DesignSolution(partition, expected_waiting_time(partition, q), "sweep")
 
@@ -273,23 +288,17 @@ def integer_partitions(total: int, max_part: int | None = None) -> Iterator[tupl
             yield (first, *rest)
 
 
-def brute_force_solve(
-    demand: int, q: float, cap: int = BRUTE_FORCE_CAP
-) -> DesignSolution:
+def brute_force_solve(demand: int, q: float) -> DesignSolution:
     """Exact optimum by enumerating every partition of the demand.
 
-    Ground truth for the fast solvers; refuses demands above cap
-    because the partition count explodes.
+    Ground truth for the fast solvers; refuses demands above
+    BRUTE_FORCE_CAP because the partition count explodes.
     """
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
-    if demand > cap:
-        raise ValueError(
-            f"demand {demand} exceeds the exhaustive-search cap {cap}; "
-            f"pass a larger cap to force the enumeration anyway"
-        )
-    # Python floats: a sum past double range is inf, with no numpy warning
-    inv = _inverse_power_list(q, demand)
+    if demand > BRUTE_FORCE_CAP:
+        raise ValueError(f"demand {demand} exceeds the exhaustive-search cap {BRUTE_FORCE_CAP}")
+    inv = _inverse_power_table(q, demand)
     best_cost: float | None = None
     best_sizes: tuple[int, ...] | None = None
     for descending in integer_partitions(demand):
@@ -329,8 +338,8 @@ def is_majorized_by(a: Partition | tuple[int, ...], b: Partition | tuple[int, ..
     sum of q**-n is Schur-convex, so a majorized (more balanced)
     partition never costs more.
     """
-    pa = _majorization_sizes(a)
-    pb = _majorization_sizes(b)
+    pa = as_partition(a).sizes[::-1]
+    pb = as_partition(b).sizes[::-1]
     if len(pa) != len(pb):
         raise ValueError(
             f"majorization compares equal batch counts, got {len(pa)} and {len(pb)}"
@@ -339,17 +348,4 @@ def is_majorized_by(a: Partition | tuple[int, ...], b: Partition | tuple[int, ..
         raise ValueError(
             f"majorization compares equal totals, got {sum(pa)} and {sum(pb)}"
         )
-    prefix_a = 0
-    prefix_b = 0
-    for xa, xb in zip(pa, pb):
-        prefix_a += xa
-        prefix_b += xb
-        if prefix_a > prefix_b:
-            return False
-    return True
-
-
-def _majorization_sizes(p: Partition | tuple[int, ...]) -> tuple[int, ...]:
-    if not isinstance(p, Partition):
-        p = Partition(tuple(p))
-    return tuple(reversed(p.sizes))
+    return all(x <= y for x, y in zip(accumulate(pa), accumulate(pb)))

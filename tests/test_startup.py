@@ -1,8 +1,8 @@
 """Which paths load numpy, checked in fresh interpreters.
 
-Only the dp and sweep solvers and the simulator compute with arrays, so
-only they import numpy.  Importing the package, starting the CLI, help,
-flag and domain errors, and the theorem and brute solvers run without
+Only the dp solver and the simulator compute with arrays, so only they
+import numpy.  Importing the package, starting the CLI, help, flag and
+domain errors, and the sweep, theorem and brute solvers run without
 it.  pytest has already imported numpy, so every case runs in its own
 `python -m pooldesign` process and reports `sys.modules` at exit.
 """
@@ -81,6 +81,12 @@ def test_import_skips_numpy(module):
         (("solve", "--n", "0", "--p", "0.1"), 3),
         (("solve", "--n", "51", "--p", "0.1", "--method", "brute"), 3),
         (("simulate", "--sizes", "80000", "--p", "0.01"), 3),
+        # sweep prices the few batch counts that can win in plain Python
+        *[
+            (("solve", "--n", "1000", "--p", "0.05", "--method", "sweep", "--format", fmt), 0)
+            for fmt in ("text", "json", "csv")
+        ],
+        (("table", "--n-range", "1:300:7", "--p-list", "0.01,0.5", "--method", "sweep"), 0),
     ],
 )
 def test_paths_without_arrays_skip_numpy(args, code):
@@ -93,7 +99,7 @@ def test_paths_without_arrays_skip_numpy(args, code):
     "args",
     [
         ("solve", "--n", "250", "--p", "0.01", "--method", "dp"),
-        ("solve", "--n", "1000", "--p", "0.05", "--method", "sweep", "--format", "json"),
+        ("table", "--n-range", "10:300:10", "--p-list", "0.01,0.3", "--method", "dp"),
         ("simulate", "--sizes", "83,83,84", "--p", "0.01", "--reps", "1000", "--seed", "3"),
         ("simulate", "--n", "20", "--p", "0.1", "--method", "theorem", "--reps", "500",
          "--format", "json"),
