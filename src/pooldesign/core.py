@@ -146,6 +146,8 @@ def expected_waiting_time(partition: Partition | Iterable[int], q: float) -> flo
     total = 0.0
     for n in part.sizes:
         total += batch_waiting_time(n, q)
+    if math.isinf(total):
+        raise OverflowError(f"expected total tests exceed double precision for q = {q}")
     return total
 
 

@@ -13,9 +13,9 @@ sum of q**-n_i over batch sizes n_i summing to N:
 - brute_force_solve: enumerates every integer partition of the demand.
   Exponentially slow, kept as ground truth for small N.
 
-All solvers return a DesignSolution whose expected_tests is recomputed
-from the returned partition with expected_waiting_time, so equal
-partitions report bitwise-equal values regardless of the route taken.
+Every solver searches with the per-batch q**-n that expected_waiting_time
+sums, and recomputes expected_tests from the returned partition with it,
+so equal partitions report bitwise-equal values whatever the route.
 
 The solvers share one tie rule: among designs within the shared cost
 tolerance of the optimum, the fewest batches win.  The cost is
@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import (
     VALUE_ATOL,
@@ -39,6 +40,7 @@ from .core import (
     Partition,
     _check_int,
     _check_q,
+    _int_power,
     as_partition,
     expected_waiting_time,
     optimal_constant_size,
@@ -65,24 +67,20 @@ class DesignSolution:
     expected_tests: float
     method: str
 
-    def __post_init__(self) -> None:
-        if self.method not in SOLVERS:
-            raise ValueError(
-                f"method must be one of {tuple(SOLVERS)}, got {self.method!r}"
-            )
-
 
 def _inverse_power_table(q: float, n_max: int) -> list[float]:
     """List t with t[n] = q**-n for n = 0..n_max, as Python floats.
 
-    Left-to-right products, as np.cumprod forms them; a product past
-    double range is inf, without a warning.  Singletons always cost a
-    finite N / q, so no search picks a batch that large.
+    Each entry is the product _int_power forms, t[n - top] * (1/q)**top
+    with top the largest power of two <= n, so it is bit for bit the
+    value expected_waiting_time sums, or inf past double range.  No
+    search picks an inf batch: singletons cost a finite N / q.
     """
-    step = 1.0 / q
     table = [1.0]
-    for _ in range(n_max):
-        table.append(table[-1] * step)
+    power = 1.0 / q  # (1/q)**len(table) while len(table) is a power of two
+    while len(table) <= n_max:
+        table += [t * power for t in table[: n_max + 1 - len(table)]]
+        power *= power
     return table
 
 
@@ -207,27 +205,33 @@ def _sweep_window(demand: int, q: float) -> range:
     return range(-(-demand // x_max), min(demand, demand // x_min + 1) + 1)
 
 
+def _fewest_balanced(demand: int, q: float, counts: Sequence[int]) -> int:
+    """The least of the counts whose balanced split costs within tolerance of the best.
+
+    Count I costs (I - r) * q**-floor(N/I) + r * q**-ceil(N/I), r = N mod I,
+    with q**-n as expected_waiting_time sums it, once per size in play.
+    """
+    power = cache(partial(_int_power, 1.0 / q))
+    costs = []
+    for count in counts:
+        small, bumped = divmod(demand, count)
+        cost = (count - bumped) * power(small)
+        costs.append(cost + bumped * power(small + 1) if bumped else cost)
+    best = min(costs)
+    limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
+    return next(count for count, cost in zip(counts, costs) if cost <= limit)
+
+
 def sweep_solve(demand: int, q: float) -> DesignSolution:
     """Exact optimum by scanning batch counts with balanced splits.
 
     For a fixed batch count the balanced split is optimal, so the
-    search space collapses to one candidate per count: cost(I) =
-    (I - r) * q**-floor(N/I) + r * q**-ceil(N/I) with r = N mod I.
-    Only the counts in _sweep_window can hold the answer.
+    search space collapses to one candidate per count.  Only the counts
+    in _sweep_window can hold the answer.
     """
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
-    window = _sweep_window(demand, q)
-    # the window's fewest batches are its largest
-    inv = _inverse_power_table(q, -(-demand // window.start))
-    costs = []
-    for count in window:
-        small, bumped = divmod(demand, count)
-        cost = (count - bumped) * inv[small]
-        costs.append(cost + bumped * inv[small + 1] if bumped else cost)
-    best = min(costs)
-    limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
-    fewest = window[next(i for i, cost in enumerate(costs) if cost <= limit)]
+    fewest = _fewest_balanced(demand, q, _sweep_window(demand, q))
     partition = balanced_partition(demand, fewest)
     return DesignSolution(partition, expected_waiting_time(partition, q), "sweep")
 
@@ -257,20 +261,14 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
     s, theta = divmod(demand, pick.n_star_low)
     fewest = -(-demand // (pick.n_star_low + 1))
     if s == 0:
-        partition = Partition((demand,))
+        counts = (1,)
     elif pick.n_star_high is not None and fewest * pick.n_star_low <= demand:
-        partition = balanced_partition(demand, fewest)
+        counts = (fewest,)
     elif theta == 0:
-        partition = Partition((pick.n_star_low,) * s)
+        counts = (s,)
     else:
-        fewer = balanced_partition(demand, s)
-        more = balanced_partition(demand, s + 1)
-        cost_fewer = expected_waiting_time(fewer, q)
-        cost_more = expected_waiting_time(more, q)
-        if cost_fewer < cost_more or values_close(cost_fewer, cost_more):
-            partition = fewer
-        else:
-            partition = more
+        counts = (s, s + 1)
+    partition = balanced_partition(demand, _fewest_balanced(demand, q, counts))
     return DesignSolution(partition, expected_waiting_time(partition, q), "theorem")
 
 

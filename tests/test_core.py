@@ -23,6 +23,7 @@ from pooldesign import (
     mu,
     optimal_constant_size,
     per_item_cost,
+    sweep_solve,
     values_close,
 )
 
@@ -102,6 +103,14 @@ class TestOverflowPolicy:
 
     def test_large_but_safe_values_pass(self):
         assert batch_waiting_time(100, 0.99) == pytest.approx(math.pow(0.99, -100), rel=1e-13)
+
+    def test_overflowing_sum_raises(self):
+        # each singleton costs a finite 1e305; ten thousand of them do not,
+        # and a solver must not report that sum as a cost
+        with pytest.raises(OverflowError, match="exceed double precision"):
+            expected_waiting_time([1] * 10**4, 1e-305)
+        with pytest.raises(OverflowError, match="exceed double precision"):
+            sweep_solve(10**4, 1e-305)
 
 
 class TestArgumentValidation:
@@ -188,10 +197,6 @@ class TestPartition:
 
 
 class TestDesignSolution:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            DesignSolution(Partition((1,)), 2.0, "magic")
-
     def test_holds_fields(self):
         sol = DesignSolution(Partition((1, 2)), 6.0, "dp")
         assert sol.partition.sizes == (1, 2)

@@ -99,12 +99,18 @@ class TestBruteForce:
     # double range from n = 45
     @pytest.mark.parametrize("q", (1.0, 1 / 2, 2 / 3, 3 / 4, 9 / 10, 99 / 100, 0.3, 0.85, 1e-7))
     def test_power_list_is_bit_identical_to_the_numpy_table(self, q):
-        # the one q**-n builder forms np.cumprod's left-to-right products
-        with np.errstate(over="ignore"):
-            want = np.cumprod(np.full(BRUTE_FORCE_CAP, 1.0 / q)).tolist()
+        # the one q**-n builder, which dp wraps in a numpy table, holds
+        # the per-batch values the reported cost sums: hex-equal wherever
+        # batch_waiting_time returns, inf exactly where it overflows
+        want = [1.0]
+        for n in range(1, BRUTE_FORCE_CAP + 1):
+            try:
+                want.append(batch_waiting_time(n, q))
+            except OverflowError:
+                want.append(math.inf)
         for n in range(BRUTE_FORCE_CAP + 1):
             got = _inverse_power_table(q, n)
-            assert [x.hex() for x in got] == [x.hex() for x in [1.0, *want[:n]]]
+            assert [x.hex() for x in got] == [x.hex() for x in want[: n + 1]]
         if q == 1e-7:
             assert math.isinf(got[-1])
 

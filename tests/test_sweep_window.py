@@ -102,10 +102,12 @@ def test_window_is_one_batch_at_q_one(demand):
 
 
 def test_memory_grows_with_the_window_not_the_demand():
-    tracemalloc.start()
-    try:
-        sweep_solve(10**6, 0.99)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    # at q = 1 - 1e-6 the window is one or two counts of huge batches
+    for demand, q in ((10**6, 0.99), (10**6, 1 - 1e-6)):
+        tracemalloc.start()
+        try:
+            sweep_solve(demand, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (demand, q)
