@@ -6,7 +6,7 @@ the sum of q**-n over its batches.  The package ships four solvers
 with identical answers and very different costs:
 
   dp       exact, O(N^2): table over every sub-demand
-  sweep    exact, one balanced candidate per batch count that can win
+  sweep    exact, ternary search over balanced candidates, one per count
   theorem  closed form built from the constant-size optimum
   brute    every integer partition; ground truth for small N
 """
@@ -41,7 +41,7 @@ def main():
         sizes = dp_solve(demand, 0.99).partition.sizes
         print(f"  N = {demand:3d} -> {sizes}")
 
-    # the sweep exploits balancedness to drop a factor of N
+    # balancedness and a cost convex in the count leave sweep O(log N) counts
     demand = 2500
     t0 = time.perf_counter()
     dp = dp_solve(demand, 0.99)

@@ -19,7 +19,7 @@ import sys
 
 import click
 
-from .core import as_partition, optimal_constant_size
+from .core import as_partition
 from .sim import simulate_design
 from .solvers import SOLVERS
 
@@ -84,12 +84,16 @@ def _domain_error(exc: Exception) -> None:
     sys.exit(3)
 
 
-def _constant_size_fields(q: float) -> tuple[int | None, int | None]:
-    # q = 1 (p = 0) has no finite constant-size optimum.
-    if q >= 1.0:
+def _constant_size_fields(p: float) -> tuple[int | None, int | None]:
+    # Sizes k - 1 and k tie when p = 1/k, else floor(1/p) is optimal.  Both
+    # are exact from p; q = 1 - p has lost the bits that tell them apart.
+    if 1.0 - p == 1.0:  # q = 1 has no finite constant-size optimum
         return None, None
-    pick = optimal_constant_size(q)
-    return pick.n_star_low, pick.n_star_high
+    k = round(1.0 / p)
+    if p == 1.0 / k:  # the double nearest 1/k is the tie
+        return k - 1, k
+    num, den = p.as_integer_ratio()
+    return den // num, None
 
 
 def _n_star_cell(low: int | None, high: int | None) -> str:
@@ -170,7 +174,7 @@ def cmd_solve(demand: int, p: float, method: str, fmt: str):
         solution = SOLVERS[method](demand, q)
     except (ValueError, OverflowError) as exc:
         _domain_error(exc)
-    low, high = _constant_size_fields(q)
+    low, high = _constant_size_fields(p)
     row = _design_row(demand, p, method, solution, low, high)
     if fmt == "json":
         click.echo(json.dumps(row, indent=2))
@@ -299,7 +303,7 @@ def cmd_table(demands, probabilities, method: str, fmt: str):
     try:
         for p in sorted(probabilities):
             q = 1.0 - p
-            low, high = _constant_size_fields(q)
+            low, high = _constant_size_fields(p)
             for demand in demands:
                 solution = SOLVERS[method](demand, q)
                 rows.append(_design_row(demand, p, method, solution, low, high))

@@ -157,9 +157,11 @@ class ConstantSizeResult:
 
     n_star_low is the optimal size; n_star_high is set when the next
     size up ties with it: when q lies within 4 ulps of n / (n + 1) for
-    an integer n.  Below n of about 3e7 that marks exactly the intended
-    ties; past it adjacent ratios lie closer than 4 ulps, so nearby q
-    report a tie too, possibly one size off.
+    an integer n.  That band spans about 4.4e-16 * n**2 in 1 / (1 - q),
+    so a q whose 1 / (1 - q) lies that near an integer reports a tie
+    that is not there (1 / (1 - q) = 2699183.00027 reports 2699182 and
+    2699183), and past n of about 3e7, where adjacent ratios lie closer
+    than 4 ulps, a tie may be one size off.
     """
 
     n_star_low: int

@@ -4,10 +4,10 @@ Four routes to the same question, cheapest expected total tests
 sum of q**-n_i over batch sizes n_i summing to N:
 
 - dp_solve: exact O(N^2) dynamic program over the demand.
-- sweep_solve: exact scan that exploits a convexity fact: among
+- sweep_solve: exact search that exploits two convexity facts: among
   designs with a fixed number of batches, the most balanced one (sizes
-  differing by at most one) is optimal.  It prices only the batch
-  counts near N / n* that can win, in plain Python.
+  differing by at most one) is optimal, and that design's cost is
+  convex in the batch count.  It prices O(log N) counts, in plain Python.
 - theorem_solve: closed-form construction from the constant-size
   optimum; valid for 0 < q < 1.
 - brute_force_solve: enumerates every integer partition of the demand.
@@ -28,11 +28,12 @@ SOLVERS maps each method name to its solver.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .core import (
     VALUE_ATOL,
@@ -49,10 +50,6 @@ from .core import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Added to the tie tolerance in _sweep_window's split test, so that the
-# rounding of its logarithms can only widen the window.
-_SPLIT_SLACK = 1e-9
 
 # Partition counts grow super-polynomially (N = 50 already has ~200k),
 # so the exhaustive solver refuses larger demands.
@@ -178,61 +175,62 @@ def balanced_partition(demand: int, groups: int) -> Partition:
     return Partition(sizes)
 
 
-def _sweep_window(demand: int, q: float) -> range:
-    """The batch counts that can hold sweep's answer.
-
-    Two batches below x_min, the least x with q**-x > 2, merge at no
-    extra cost, so the answer holds at most one.  A batch above x_max
-    splits at a saving past the tie tolerance: an even 2k once a = q**-k
-    has a * (a - 2) above it, an odd 2k + 1 once b = q**-(k + 1) has
-    q * b**2 - (1 + q) * b above it (at zero tolerance, q**-k > 2 and
-    q**-(k + 1) > 1 + 1/q).  So the answer lies in
-    [ceil(N / x_max), floor(N / x_min) + 1]: count 1 for q = 1, and
-    count N for q < 1/2 unless pairs fall within the tolerance.
+def _balanced_cost(demand: int, q: float) -> Callable[[int], float]:
+    """Count I's balanced-split cost, (I - r) * q**-floor(N/I) + r * q**-ceil(N/I)
+    with r = N mod I, from q**-n formed as expected_waiting_time sums it,
+    once per size in play.
     """
-    if q == 1.0:
-        return range(1, 2)
-    # the table's own ratio: q**-x > c  <=>  x * rate > log(c)
-    rate = math.log(1.0 / q)
-    x_min = int(math.log(2.0) / rate) + 1
-    # N singletons cost N / q, which bounds the best cost
-    margin = VALUE_ATOL + VALUE_RTOL * demand / q + _SPLIT_SLACK
-    # sizes past N do not matter, and capping keeps int() finite
-    even_half = int(min(demand, math.log1p(math.sqrt(1.0 + margin)) / rate))
-    root = (1.0 + q + math.sqrt((1.0 + q) ** 2 + 4.0 * q * margin)) / 2.0
-    odd_half = int(min(demand, 1.0 + math.log(root) / rate))
-    x_max = max(2 * even_half, 2 * odd_half - 1)
-    return range(-(-demand // x_max), min(demand, demand // x_min + 1) + 1)
+    power = cache(partial(_int_power, 1.0 / q))
+
+    def cost(count: int) -> float:
+        small, bumped = divmod(demand, count)
+        total = (count - bumped) * power(small)
+        return total + bumped * power(small + 1) if bumped else total
+
+    return cost
 
 
 def _fewest_balanced(demand: int, q: float, counts: Sequence[int]) -> int:
-    """The least of the counts whose balanced split costs within tolerance of the best.
-
-    Count I costs (I - r) * q**-floor(N/I) + r * q**-ceil(N/I), r = N mod I,
-    with q**-n as expected_waiting_time sums it, once per size in play.
-    """
-    power = cache(partial(_int_power, 1.0 / q))
-    costs = []
-    for count in counts:
-        small, bumped = divmod(demand, count)
-        cost = (count - bumped) * power(small)
-        costs.append(cost + bumped * power(small + 1) if bumped else cost)
+    """The least of the counts whose balanced split costs within tolerance of the best."""
+    costs = list(map(_balanced_cost(demand, q), counts))
     best = min(costs)
     limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
     return next(count for count, cost in zip(counts, costs) if cost <= limit)
 
 
-def sweep_solve(demand: int, q: float) -> DesignSolution:
-    """Exact optimum by scanning batch counts with balanced splits.
+def _sweep_count(demand: int, q: float) -> int:
+    """The fewest batches whose balanced split costs within tolerance of the best count's.
 
-    For a fixed batch count the balanced split is optimal, so the
-    search space collapses to one candidate per count.  Only the counts
-    in _sweep_window can hold the answer.
+    Count I costs I * G(N / I), with G interpolating q**-n linearly between
+    integers, so the cost is convex in I.  Ternary search finds the best
+    count: probes a third of the range apart misplace it by no more than a
+    cost difference lost to rounding, where adjacent probes on a near-flat
+    slope could stray by many tolerances.
     """
+    cost = _balanced_cost(demand, q)
+    lo, hi = 1, demand
+    while hi - lo > 2:
+        third = (hi - lo) // 3
+        # an inf cost lies left of the best, and inf >= inf
+        if cost(lo + third) >= cost(hi - third):
+            lo += third + 1
+        else:
+            hi -= third + 1
+    top = min(range(lo, hi + 1), key=cost)
+    best = cost(top)
+    limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
+    if math.isinf(limit):
+        # even N singletons overflow; expected_waiting_time raises for them
+        return demand
+    # the costs within tolerance run from the fewest such count up to top
+    return bisect.bisect_left(range(1, top + 1), True, key=lambda i: cost(i) <= limit) + 1
+
+
+def sweep_solve(demand: int, q: float) -> DesignSolution:
+    """Exact optimum over balanced splits, one per batch count (see _sweep_count)."""
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
-    fewest = _fewest_balanced(demand, q, _sweep_window(demand, q))
-    partition = balanced_partition(demand, fewest)
+    partition = balanced_partition(demand, _sweep_count(demand, q))
     return DesignSolution(partition, expected_waiting_time(partition, q), "sweep")
 
 

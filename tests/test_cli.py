@@ -129,6 +129,20 @@ class TestSolve:
         assert result.exit_code == 0
         assert "constant optimum: 3333333\n" in result.output
 
+    @pytest.mark.parametrize(
+        "p, cell",
+        (
+            # the double nearest 1/10**8 is the tie, though 1 - p cannot show it
+            ("1e-8", "99999999|100000000"),
+            # 1/p = 2699182.99993: within 4 ulps of a tie in q, but no tie
+            ("3.704824756333552e-07", "2699182"),
+        ),
+    )
+    def test_constant_optimum_is_exact_in_p(self, runner, p, cell):
+        result = invoke(runner, "solve", "--n", "10", "--p", p, "--method", "theorem")
+        assert result.exit_code == 0
+        assert f"constant optimum: {cell}\n" in result.output
+
     @pytest.mark.parametrize("n", (1, 7, 13, 30))
     @pytest.mark.parametrize("p", (0.05, 0.25, 0.5))
     def test_methods_print_identical_values(self, runner, n, p):

@@ -1,27 +1,31 @@
-"""sweep_solve's count window, checked against the full count scan.
+"""sweep_solve's count search, checked against the full count scan.
 
-sweep_solve prices only the batch counts in _sweep_window.  The
-reference below is the scan it replaced: every count from 1 to N priced
-at once with numpy arrays, under the same tie rule.  Both must pick the
-same count on a seeded grid that crowds the q where the window's ends
-move: the ties k / (k + 1), the merge boundaries 2**(-1/x), the odd
-split boundaries q**-m = 1 + 1/q, q < 1/2 and q = 1.  Near a boundary a
-batch the cost tolerance cannot tell from its split decides the count
-only at large demand (at q = 1/2 - 1e-9 a pair costs 8e-9 more than two
-singletons, inside the tolerance once N passes about 4000), so the
-demands reach 8000.
+sweep_solve finds its batch count with _sweep_count, a ternary search
+over a cost convex in the count followed by a bisection for the fewest
+count within tolerance.  The reference below is the scan it replaced:
+every count from 1 to N priced at once with numpy arrays, under the same
+tie rule.  Both must pick the same count on a seeded grid that crowds
+the q where the best count jumps: the ties k / (k + 1), the merge
+boundaries 2**(-1/x), the odd split boundaries q**-m = 1 + 1/q, q < 1/2
+and q = 1.  Near a boundary a batch the cost tolerance cannot tell from
+its split decides the count only at large demand (at q = 1/2 - 1e-9 a
+pair costs 8e-9 more than two singletons, inside the tolerance once N
+passes about 4000), so the demands reach 8000.  The convexity the search
+relies on is checked exactly on the rounded q**-n it prices.
 """
 
 import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pooldesign import VALUE_ATOL, VALUE_RTOL, sweep_solve
-from pooldesign.solvers import _sweep_window
+from pooldesign.core import _int_power
+from pooldesign.solvers import _sweep_count
 
 
 def reference_count(demand, q):
@@ -93,12 +97,48 @@ def test_sweep_picks_the_reference_count():
 @pytest.mark.parametrize("q", (1e-300, 1e-7, 0.01, 0.3, 0.49))
 @pytest.mark.parametrize("demand", (1, 2, 7, 1000, 10**9))
 def test_window_is_all_singletons_below_half(demand, q):
-    assert _sweep_window(demand, q) == range(demand, demand + 1)
+    # named for the count window the search replaced, so the ids stay stable
+    assert _sweep_count(demand, q) == demand
 
 
 @pytest.mark.parametrize("demand", (1, 2, 7, 1000, 10**9))
 def test_window_is_one_batch_at_q_one(demand):
-    assert _sweep_window(demand, 1.0) == range(1, 2)
+    assert _sweep_count(demand, 1.0) == 1
+
+
+@pytest.mark.parametrize(
+    "demand, q, count",
+    (
+        (10**9, 0.99, 10**7),
+        (10**9, 0.5, 5 * 10**8),
+        # the full scan's count on a near-flat slope, where probing
+        # adjacent counts stops at 13163, 4.4e-8 above the best cost
+        # against a tolerance of 3.7e-8
+        (18717, 0.499999999999, 14037),
+    ),
+)
+def test_count_at_known_points(demand, q, count):
+    assert _sweep_count(demand, q) == count
+
+
+def test_balanced_cost_is_convex_in_the_count():
+    # C(I) = (I - r) * a[s] + r * a[s + 1] for N = s * I + r, summed
+    # exactly from the rounded a[n] = q**-n that sweep prices with.
+    rng = random.Random(20171209)
+    qs = [k / (k + 1) for k in (1, 2, 3, 5, 9, 19, 49, 199)]
+    qs += [2.0 ** (-1 / x) for x in (1, 2, 3, 5, 8, 17, 40, 120)]
+    qs += [rng.uniform(0.1, 0.5) for _ in range(6)]
+    qs += [rng.uniform(0.5, 0.999) for _ in range(10)]
+    demands = [*range(3, 40), *rng.sample(range(40, 301), 12)]
+    for q in qs:
+        a = [Fraction(_int_power(1.0 / q, n)) for n in range(302)]
+        for demand in demands:
+            costs = [None]
+            for count in range(1, demand + 1):
+                small, bumped = divmod(demand, count)
+                costs.append((count - bumped) * a[small] + bumped * a[small + 1])
+            for i in range(2, demand):
+                assert costs[i - 1] + costs[i + 1] >= 2 * costs[i], (q, demand, i)
 
 
 def test_memory_grows_with_the_window_not_the_demand():
