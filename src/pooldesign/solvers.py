@@ -8,8 +8,8 @@ sum of q**-n_i over batch sizes n_i summing to N:
   designs with a fixed number of batches, the most balanced one (sizes
   differing by at most one) is optimal, and that design's cost is
   convex in the batch count.  It prices O(log N) counts, in plain Python.
-- theorem_solve: closed-form construction from the constant-size
-  optimum; valid for 0 < q < 1.
+- theorem_solve: closed-form candidate counts from the constant-size
+  optimum, then sweep's fewest-count bisection; valid for 0 < q < 1.
 - brute_force_solve: enumerates every integer partition of the demand.
   Exponentially slow, kept as ground truth for small N.
 
@@ -21,8 +21,10 @@ The solvers share one tie rule: among designs within the shared cost
 tolerance of the optimum, the fewest batches win.  The cost is
 Schur-convex, so at a real tie (q = k / (k + 1)) the rule leaves one
 design and every solver returns it; brute_force_solve settles rounding
-near-ties by the smallest ascending sizes.  Just off a tie the solvers
-may return different designs, each within the tolerance of the optimum.
+near-ties by the smallest ascending sizes.  sweep_solve and
+theorem_solve find the fewest count with one bisection, so they return
+the same design just off a tie as well; there dp_solve and
+brute_force_solve may return others, near the optimum.
 SOLVERS maps each method name to its solver.
 """
 
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import (
     VALUE_ATOL,
@@ -190,12 +192,21 @@ def _balanced_cost(demand: int, q: float) -> Callable[[int], float]:
     return cost
 
 
-def _fewest_balanced(demand: int, q: float, counts: Sequence[int]) -> int:
-    """The least of the counts whose balanced split costs within tolerance of the best."""
-    costs = list(map(_balanced_cost(demand, q), counts))
-    best = min(costs)
+def _fewest_count(demand: int, cost: Callable[[int], float], candidates: Iterable[int]) -> int:
+    """The fewest batches whose balanced split costs within tolerance of the best count's.
+
+    The candidates must hold a count of least cost.  The cost is convex in
+    the count, so the counts within tolerance of the cheapest candidate,
+    top, run from the fewest such count up to top, and bisecting [1, top]
+    finds it.
+    """
+    top = min(candidates, key=cost)
+    best = cost(top)
     limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
-    return next(count for count, cost in zip(counts, costs) if cost <= limit)
+    if math.isinf(limit):
+        # even N singletons overflow; expected_waiting_time raises for them
+        return demand
+    return bisect.bisect_left(range(1, top + 1), True, key=lambda i: cost(i) <= limit) + 1
 
 
 def _sweep_count(demand: int, q: float) -> int:
@@ -216,14 +227,7 @@ def _sweep_count(demand: int, q: float) -> int:
             lo += third + 1
         else:
             hi -= third + 1
-    top = min(range(lo, hi + 1), key=cost)
-    best = cost(top)
-    limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
-    if math.isinf(limit):
-        # even N singletons overflow; expected_waiting_time raises for them
-        return demand
-    # the costs within tolerance run from the fewest such count up to top
-    return bisect.bisect_left(range(1, top + 1), True, key=lambda i: cost(i) <= limit) + 1
+    return _fewest_count(demand, cost, range(lo, hi + 1))
 
 
 def sweep_solve(demand: int, q: float) -> DesignSolution:
@@ -238,35 +242,22 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
     """Optimum from the closed-form construction, for 0 < q < 1.
 
     Let n* be the constant-size optimum (1 for q < 1/2, where singleton
-    batches are optimal) and s, theta the quotient and remainder of the
-    demand by n*:
-
-    - s = 0 (demand below n*): a single batch holds everything.
-    - n* ties with n* + 1 and ceil(N / (n* + 1)) batches of at least n*
-      fit: balance over that many, the fewest batches of optimal sizes.
-      At q = 1/2 that makes pairs, plus one single for odd N.
-    - theta = 0: s batches of n*.
-    - anything else: the better of balancing over s or s + 1 batches.
-
-    Equal-cost cases keep the fewer-batches candidate.
+    batches are optimal) and s = floor(N / n*).  The best balanced split
+    uses s or s + 1 batches (at most N), or one batch when the demand is
+    below n*.  The cheaper of those candidates then goes through the
+    fewest-count bisection that sweep_solve shares (see _fewest_count),
+    so the fewest batches within tolerance of it win: at q = 1/2 that
+    makes pairs, plus one single for odd N.
     """
     demand = _check_int(demand, "demand", 1)
     if not 0.0 < q < 1.0:
         raise ValueError(
             f"closed-form construction needs q in (0, 1), got {q}"
         )
-    pick = optimal_constant_size(q)
-    s, theta = divmod(demand, pick.n_star_low)
-    fewest = -(-demand // (pick.n_star_low + 1))
-    if s == 0:
-        counts = (1,)
-    elif pick.n_star_high is not None and fewest * pick.n_star_low <= demand:
-        counts = (fewest,)
-    elif theta == 0:
-        counts = (s,)
-    else:
-        counts = (s, s + 1)
-    partition = balanced_partition(demand, _fewest_balanced(demand, q, counts))
+    s = demand // optimal_constant_size(q).n_star_low
+    candidates = (s, min(s + 1, demand)) if s else (1,)
+    count = _fewest_count(demand, _balanced_cost(demand, q), candidates)
+    partition = balanced_partition(demand, count)
     return DesignSolution(partition, expected_waiting_time(partition, q), "theorem")
 
 

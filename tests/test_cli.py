@@ -108,6 +108,16 @@ class TestSolve:
         assert result.exit_code == 0
         assert "batches:          2|2|2|2|2\n" in result.output
 
+    @pytest.mark.parametrize("method", ("dp", "sweep", "theorem"))
+    def test_one_design_just_below_a_tie(self, runner, method):
+        # q = 0.899999999999999 lies just below the 9/10 tie, where ten
+        # batches of 9 cost within the tolerance of nine batches of 10
+        result = invoke(
+            runner, "solve", "--n", "90", "--p", "0.100000000000001", "--method", method
+        )
+        assert result.exit_code == 0
+        assert f"batches:          {'|'.join(['10'] * 9)}\n" in result.output
+
     def test_brute_past_double_range_leaves_stderr_empty(self):
         # q**-25 is about 1e308 at p = 1 - 4.79e-13, so some partitions
         # sum past double range; they lose quietly to the singletons.

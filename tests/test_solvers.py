@@ -5,6 +5,7 @@ small closed-form cases are derived by hand in-line.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -371,6 +372,23 @@ class TestSolverContract:
             expected = sweep_solve(demand, q).partition
             assert dp_solve(demand, q).partition == expected, demand
             assert theorem_solve(demand, q).partition == expected, demand
+
+    def test_sweep_and_theorem_agree_near_ties(self):
+        # just off q = k / (k + 1) designs a little dearer than the
+        # optimum fall within the tolerance; sweep and theorem must both
+        # pick the fewest batches among them
+        rng = random.Random(20171210)
+        demands = [*range(1, 60), *(rng.randint(60, 1500) for _ in range(6))]
+        offsets = (-1e-15, -1e-14, -1e-13, -1e-12, -1e-10, 0.0, 1e-12)
+        differ = []
+        for k in (1, 2, 3, 4, 9, 19, 49, 99):
+            for offset in offsets:
+                q = k / (k + 1) + offset
+                for demand in demands:
+                    swept = sweep_solve(demand, q).partition
+                    if theorem_solve(demand, q).partition != swept:
+                        differ.append((demand, q))
+        assert differ == []
 
     @pytest.mark.parametrize(
         "demand,q",

@@ -3,14 +3,15 @@
 sweep_solve finds its batch count with _sweep_count, a ternary search
 over a cost convex in the count followed by a bisection for the fewest
 count within tolerance.  The reference below is the scan it replaced:
-every count from 1 to N priced at once with numpy arrays, under the same
-tie rule.  Both must pick the same count on a seeded grid that crowds
-the q where the best count jumps: the ties k / (k + 1), the merge
-boundaries 2**(-1/x), the odd split boundaries q**-m = 1 + 1/q, q < 1/2
-and q = 1.  Near a boundary a batch the cost tolerance cannot tell from
-its split decides the count only at large demand (at q = 1/2 - 1e-9 a
-pair costs 8e-9 more than two singletons, inside the tolerance once N
-passes about 4000), so the demands reach 8000.  The convexity the search
+every count from 1 to N priced at once with numpy arrays, from the same
+q**-n table and under the same tie rule.  Both must pick the same count
+on a seeded grid that crowds the q where the best count jumps: the ties
+k / (k + 1), the merge boundaries 2**(-1/x), the odd split boundaries
+q**-m = 1 + 1/q, q < 1/2 and q = 1.  Near a boundary a batch the cost
+tolerance cannot tell from its split decides the count only at large
+demand (at q = 1/2 - 1e-9 a pair costs 8e-9 more than two singletons,
+inside the tolerance once N passes about 4000), so the demands reach
+8000.  The convexity the search
 relies on is checked exactly on the rounded q**-n it prices.
 """
 
@@ -19,25 +20,33 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from pooldesign import VALUE_ATOL, VALUE_RTOL, sweep_solve
 from pooldesign.core import _int_power
-from pooldesign.solvers import _sweep_count
+from pooldesign.solvers import _inverse_power_table, _sweep_count
+
+MAX_DEMAND = 8000
+
+
+@lru_cache(maxsize=1)
+def inverse_powers(q):
+    """q**-n for n = 0..MAX_DEMAND, bit for bit the values sweep prices with."""
+    return np.array(_inverse_power_table(q, MAX_DEMAND))
 
 
 def reference_count(demand, q):
     """The fewest batches within tolerance of the best, over every count."""
-    inv = np.empty(demand + 1)
-    inv[0] = 1.0
+    assert demand <= MAX_DEMAND
+    inv = inverse_powers(q)
     counts = np.arange(1, demand + 1)
     small = demand // counts
     bumped = demand - small * counts
     large = np.minimum(small + 1, demand)  # unused when bumped == 0
     with np.errstate(over="ignore"):  # an inf cost is never the minimum
-        np.cumprod(np.full(demand, 1.0 / q), out=inv[1:])
         costs = (counts - bumped) * inv[small]
         # where bumped == 0, inv[large] may be inf and 0 * inf is nan
         costs += np.multiply(
@@ -77,7 +86,7 @@ def q_grid(rng):
 
 
 def demand_grid(rng):
-    logs = (rng.uniform(math.log(25), math.log(8000)) for _ in range(32))
+    logs = (rng.uniform(math.log(25), math.log(MAX_DEMAND)) for _ in range(32))
     return [*range(1, 25), *(int(math.exp(x)) for x in logs)]
 
 
