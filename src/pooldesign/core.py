@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -140,12 +141,29 @@ def as_partition(sizes: Partition | Iterable[int]) -> Partition:
     return Partition(tuple(sizes))
 
 
+def _runs_cost(runs: Iterable[tuple[float, int]]) -> float:
+    """The exact sum of count * cost over (cost, count) runs, rounded once.
+
+    A finite double is an integer over a power of two, so the sum is held
+    exactly over the largest denominator and one int / int division rounds
+    it; inf when a counted cost is inf or the sum is past double range.
+    """
+    total, scale = 0, 1
+    try:
+        for cost, count in runs:
+            numerator, denominator = cost.as_integer_ratio() if count else (0, 1)
+            if denominator > scale:
+                total, scale = total * (denominator // scale), denominator
+            total += count * numerator * (scale // denominator)
+        return total / scale
+    except OverflowError:  # from an inf cost or a sum past double range
+        return math.inf
+
+
 def expected_waiting_time(partition: Partition | Iterable[int], q: float) -> float:
-    """Expected total tests for a design: the sum of q**-n over its batches."""
-    part = as_partition(partition)
-    total = 0.0
-    for n in part.sizes:
-        total += batch_waiting_time(n, q)
+    """Expected total tests for a design: the sum of q**-n over its batches, rounded once."""
+    sizes = Counter(as_partition(partition).sizes)
+    total = _runs_cost([(batch_waiting_time(n, q), count) for n, count in sizes.items()])
     if math.isinf(total):
         raise OverflowError(f"expected total tests exceed double precision for q = {q}")
     return total

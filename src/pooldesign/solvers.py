@@ -13,18 +13,13 @@ sum of q**-n_i over batch sizes n_i summing to N:
 - brute_force_solve: enumerates every integer partition of the demand.
   Exponentially slow, kept as ground truth for small N.
 
-Every solver searches with the per-batch q**-n that expected_waiting_time
-sums, and recomputes expected_tests from the returned partition with it,
-so equal partitions report bitwise-equal values whatever the route.
-
-The solvers share one tie rule: among designs within the shared cost
-tolerance of the optimum, the fewest batches win.  The cost is
-Schur-convex, so at a real tie (q = k / (k + 1)) the rule leaves one
-design and every solver returns it; brute_force_solve settles rounding
-near-ties by the smallest ascending sizes.  sweep_solve and
-theorem_solve find the fewest count with one bisection, so they return
-the same design just off a tie as well; there dp_solve and
-brute_force_solve may return others, near the optimum.
+Every solver searches with the q**-n that expected_waiting_time sums and
+reports that function's cost of its partition: the exact sum, rounded
+once.  sweep_solve and theorem_solve choose by that very value.  All four
+keep the fewest batches within the cost tolerance of the optimum (then, in
+brute_force_solve, the smallest ascending sizes).  The cost is
+Schur-convex, so at a real tie (q = k / (k + 1)) one design is left and
+every solver returns it; just off one, dp_solve may keep a batch more.
 SOLVERS maps each method name to its solver.
 """
 
@@ -44,6 +39,7 @@ from .core import (
     _check_int,
     _check_q,
     _int_power,
+    _runs_cost,
     as_partition,
     expected_waiting_time,
     optimal_constant_size,
@@ -178,16 +174,14 @@ def balanced_partition(demand: int, groups: int) -> Partition:
 
 
 def _balanced_cost(demand: int, q: float) -> Callable[[int], float]:
-    """Count I's balanced-split cost, (I - r) * q**-floor(N/I) + r * q**-ceil(N/I)
-    with r = N mod I, from q**-n formed as expected_waiting_time sums it,
-    once per size in play.
+    """Count I's balanced-split cost (I - r) * q**-floor(N/I) + r * q**-ceil(N/I),
+    r = N mod I, rounded once by _runs_cost as expected_waiting_time rounds it.
     """
     power = cache(partial(_int_power, 1.0 / q))
 
     def cost(count: int) -> float:
         small, bumped = divmod(demand, count)
-        total = (count - bumped) * power(small)
-        return total + bumped * power(small + 1) if bumped else total
+        return _runs_cost(((power(small), count - bumped), (power(small + 1), bumped)))
 
     return cost
 
@@ -286,25 +280,21 @@ def brute_force_solve(demand: int, q: float) -> DesignSolution:
     if demand > BRUTE_FORCE_CAP:
         raise ValueError(f"demand {demand} exceeds the exhaustive-search cap {BRUTE_FORCE_CAP}")
     inv = _inverse_power_table(q, demand)
-    best_cost: float | None = None
-    best_sizes: tuple[int, ...] | None = None
-    for descending in integer_partitions(demand):
-        cost = 0.0
+
+    def cost(descending: tuple[int, ...]) -> float:
+        total = 0.0  # left to right, inf past double range
         for n in descending:
-            cost += inv[n]
-        if best_cost is None:
-            best_cost = cost
-            best_sizes = descending[::-1]
-            continue
-        if values_close(cost, best_cost):
-            ascending = descending[::-1]
-            if (len(ascending), ascending) < (len(best_sizes), best_sizes):
-                best_sizes = ascending
-                best_cost = min(best_cost, cost)
-        elif cost < best_cost:
-            best_cost = cost
-            best_sizes = descending[::-1]
-    partition = Partition(best_sizes)
+            total += inv[n]
+        return total
+
+    # the least cost first, then the fewest batches within tolerance of it
+    best = min(map(cost, integer_partitions(demand)))
+    _, ascending = min(
+        (len(descending), descending[::-1])
+        for descending in integer_partitions(demand)
+        if values_close(cost(descending), best)
+    )
+    partition = Partition(ascending)
     return DesignSolution(partition, expected_waiting_time(partition, q), "brute")
 
 

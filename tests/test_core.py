@@ -7,6 +7,7 @@ for the trivial edges.
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from pooldesign import (
     sweep_solve,
     values_close,
 )
+from pooldesign.core import _runs_cost
 
 # Relative slack for comparing computed throughputs of tied sizes.
 MU_TIE_RTOL = 1e-12
@@ -140,10 +142,21 @@ class TestArgumentValidation:
 class TestExpectedWaitingTime:
     @pytest.mark.parametrize("q", Q_GRID)
     def test_sums_per_batch_waiting_times(self, q):
-        sizes = (4, 1, 3, 3)
-        part = Partition(sizes)
-        oracle = sum(batch_waiting_time(n, q) for n in part.sizes)
-        assert expected_waiting_time(part, q) == oracle
+        # the exact sum of the batch costs rounded once, in any batch order
+        rng = random.Random(20171211)
+        for _ in range(200):
+            sizes = [rng.randint(1, 40) for _ in range(rng.randint(1, 60))]
+            oracle = math.fsum(batch_waiting_time(n, q) for n in sizes)
+            assert expected_waiting_time(sizes, q) == oracle, sizes
+
+    def test_runs_cost_is_the_exact_sum_rounded_once(self):
+        assert _runs_cost(((0.1, 3), (0.7, 1))) == float(3 * Fraction(0.1) + Fraction(0.7))
+        assert _runs_cost(((1.0, 1), (2.0**-53, 2))) == 1 + 2.0**-52
+        assert _runs_cost(((0.1, 10**20),)) == float(10**20 * Fraction(0.1))
+        # a run of no batches counts nothing, even at an inf cost
+        assert _runs_cost(((math.inf, 0), (2.0, 3))) == 6.0
+        assert _runs_cost(((2.0, 1), (math.inf, 1))) == math.inf
+        assert _runs_cost(((1e308, 2),)) == math.inf
 
     def test_accepts_bare_iterables(self):
         assert expected_waiting_time((1, 1), 0.5) == 4.0

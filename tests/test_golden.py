@@ -7,17 +7,39 @@ requests with small replication counts, usage errors and --help.  It is
 the behaviour contract for refactors: a change that alters any entry
 changes what users see, and has to say so.  Each entry runs in-process
 with a fixed terminal width, so --help does not depend on the terminal.
+Every full-precision cost the corpus holds is also checked against the
+exact sum of its batch costs, rounded once.
 """
 
+import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from pooldesign import batch_waiting_time
 from pooldesign.cli import main
 
 CORPUS = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+
+
+def output_format(argv):
+    if "--format" in argv:
+        return argv[argv.index("--format") + 1]
+    return "csv" if argv[0] == "table" else "text"
+
+
+# solve and table entries that print expected_tests at full precision
+COSTED = [
+    entry
+    for entry in CORPUS
+    if entry["argv"][0] in ("solve", "table")
+    and entry["exit_code"] == 0
+    and "--help" not in entry["argv"]
+    and output_format(entry["argv"]) in ("json", "csv")
+]
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +56,24 @@ def test_stdout_matches_golden(runner, entry):
     # compared as a flag: pytest's own diff of long outputs takes minutes
     same = result.stdout == entry["stdout"]
     assert same, first_difference(entry["stdout"], result.stdout)
+
+
+@pytest.mark.parametrize("entry", COSTED, ids=lambda entry: " ".join(entry["argv"]))
+def test_reported_cost_is_the_exact_sum_rounded_once(entry):
+    if output_format(entry["argv"]) == "json":
+        rows = json.loads(entry["stdout"])
+        rows = rows if isinstance(rows, list) else [rows]
+    else:
+        rows = list(csv.DictReader(entry["stdout"].splitlines()))
+        for row in rows:
+            row["p"] = float(row["p"])
+            row["partition"] = [int(n) for n in row["partition"].split("|")]
+            row["expected_tests"] = float(row["expected_tests"])
+    assert rows
+    for row in rows:
+        q = 1.0 - row["p"]
+        exact = math.fsum(batch_waiting_time(n, q) for n in row["partition"])
+        assert row["expected_tests"] == exact, row["partition"]
 
 
 def first_difference(expected: str, got: str) -> str:

@@ -25,7 +25,7 @@ from pooldesign import (
     theorem_solve,
     values_close,
 )
-from pooldesign.solvers import _inverse_power_table
+from pooldesign.solvers import _balanced_cost, _inverse_power_table
 
 Q_GRID = (0.3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99)
 SOLVERS = (dp_solve, sweep_solve, theorem_solve, brute_force_solve)
@@ -95,6 +95,24 @@ class TestBruteForce:
         sol = brute_force_solve(20, 1e-20)
         assert sol.partition.sizes == (1,) * 20
         assert math.isfinite(sol.expected_tests)
+
+    def test_near_tie_is_measured_against_the_optimum(self):
+        # 6 x 4 is enumerated first; 7 batches cost within tolerance of it
+        # but more than 8 x 3, the optimum, which the 7 batches are also
+        # within tolerance of, so they win
+        sol = brute_force_solve(24, 0.75 - 1e-12)
+        assert sol.partition.sizes == (3, 3, 3, 3, 4, 4, 4)
+
+    def test_agrees_with_sweep_near_ties(self):
+        differ = []
+        for k in (1, 2, 3, 4, 5, 7, 9, 13, 19):
+            for offset in (-1e-15, -1e-14, -1e-13, -1e-12, 0.0, 1e-13, 1e-12):
+                q = k / (k + 1) + offset
+                for demand in range(1, 21):
+                    swept = sweep_solve(demand, q).partition
+                    if brute_force_solve(demand, q).partition != swept:
+                        differ.append((demand, q))
+        assert differ == []
 
     # q = 1, the ties k / (k + 1), and q = 1e-7, whose table passes
     # double range from n = 45
@@ -279,6 +297,26 @@ class TestSweepSolve:
             sizes = sweep_solve(n, q).partition.sizes
             assert max(sizes) - min(sizes) <= 1
 
+    def test_prices_counts_as_the_report_does(self):
+        # sweep and theorem choose by the very value expected_waiting_time
+        # reports for the balanced split, bit for bit
+        rng = random.Random(20171212)
+        qs = [k / (k + 1) + offset for k in (1, 2, 4, 9, 99) for offset in (-1e-12, 0.0)]
+        qs += [rng.uniform(0.3, 1.0) for _ in range(10)]
+        for q in qs:
+            for _ in range(20):
+                demand = int(math.exp(rng.uniform(0, math.log(2 * 10**4))))
+                cost = _balanced_cost(demand, q)
+                swept = len(sweep_solve(demand, q).partition)
+                for count in {1, demand, rng.randint(1, demand), swept}:
+                    partition = balanced_partition(demand, count)
+                    if math.isinf(cost(count)):
+                        with pytest.raises(OverflowError):
+                            expected_waiting_time(partition, q)
+                    else:
+                        reported = expected_waiting_time(partition, q)
+                        assert cost(count).hex() == reported.hex(), (demand, q, count)
+
     def test_overflow_propagates(self):
         # counts whose balanced batches cost inf lose to the singletons
         assert sweep_solve(600, 0.3).partition.sizes == (1,) * 600
@@ -388,6 +426,12 @@ class TestSolverContract:
                     swept = sweep_solve(demand, q).partition
                     if theorem_solve(demand, q).partition != swept:
                         differ.append((demand, q))
+        # large demands where the two bisections once stopped at different
+        # counts, their costs rounded onto the tolerance limit
+        for demand, k in ((695650, 1), (507703, 2), (797647, 2), (294426, 3), (902401, 4)):
+            q = k / (k + 1) - 1e-12
+            if theorem_solve(demand, q).partition != sweep_solve(demand, q).partition:
+                differ.append((demand, q))
         assert differ == []
 
     @pytest.mark.parametrize(

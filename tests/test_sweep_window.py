@@ -4,7 +4,9 @@ sweep_solve finds its batch count with _sweep_count, a ternary search
 over a cost convex in the count followed by a bisection for the fewest
 count within tolerance.  The reference below is the scan it replaced:
 every count from 1 to N priced at once with numpy arrays, from the same
-q**-n table and under the same tie rule.  Both must pick the same count
+q**-n table and under the same tie rule, with the counts near the
+minimum or the tolerance limit re-priced exactly, as sweep prices every
+count.  Both must pick the same count
 on a seeded grid that crowds the q where the best count jumps: the ties
 k / (k + 1), the merge boundaries 2**(-1/x), the odd split boundaries
 q**-m = 1 + 1/q, q < 1/2 and q = 1.  Near a boundary a batch the cost
@@ -30,6 +32,9 @@ from pooldesign.core import _int_power
 from pooldesign.solvers import _inverse_power_table, _sweep_count
 
 MAX_DEMAND = 8000
+# Relative margin around the minimum and the limit, over 4 ulps at any
+# magnitude, inside which reference_count re-prices a count exactly.
+NEAR = 1e-15
 
 
 @lru_cache(maxsize=1)
@@ -39,7 +44,14 @@ def inverse_powers(q):
 
 
 def reference_count(demand, q):
-    """The fewest batches within tolerance of the best, over every count."""
+    """The fewest batches within tolerance of the best, over every count.
+
+    Every count is priced at once with float arrays, each cost within
+    2.5 ulps of its exact value rounded once, the value sweep prices.
+    Only counts priced within NEAR of the minimum or of the limit can
+    fall on the other side when rounded exactly, so those are re-priced
+    exactly with Fraction.
+    """
     assert demand <= MAX_DEMAND
     inv = inverse_powers(q)
     counts = np.arange(1, demand + 1)
@@ -52,9 +64,19 @@ def reference_count(demand, q):
         costs += np.multiply(
             bumped, inv[large], out=np.zeros(demand), where=bumped > 0
         )
-    best = float(costs.min())
-    tolerance = VALUE_ATOL + VALUE_RTOL * abs(best)
-    return int(np.flatnonzero(costs <= best + tolerance)[0]) + 1
+
+    def exact(index):
+        count = int(index) + 1  # a numpy int would turn Fraction into float
+        s, r = divmod(demand, count)
+        total = (count - r) * Fraction(inv[s])
+        return float(total + r * Fraction(inv[s + 1]) if r else total)
+
+    near = NEAR * float(costs.min())
+    best = min(map(exact, np.flatnonzero(costs <= costs.min() + near)))
+    limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
+    sure = np.flatnonzero(costs < limit - near)[0]
+    edge = np.flatnonzero(costs[:sure] <= limit + near)
+    return int(next((i for i in edge if exact(i) <= limit), sure)) + 1
 
 
 def odd_split_boundary(m):
