@@ -32,9 +32,9 @@ from pooldesign.core import _int_power
 from pooldesign.solvers import _inverse_power_table, _sweep_count
 
 MAX_DEMAND = 8000
-# Relative margin around the minimum and the limit, over 4 ulps at any
-# magnitude, inside which reference_count re-prices a count exactly.
-NEAR = 1e-15
+# Relative margin, at least 9 ulps at any magnitude, around the minimum
+# and the limit inside which reference_count re-prices a count exactly.
+NEAR = 2e-15
 
 
 @lru_cache(maxsize=1)
@@ -48,9 +48,10 @@ def reference_count(demand, q):
 
     Every count is priced at once with float arrays, each cost within
     2.5 ulps of its exact value rounded once, the value sweep prices.
-    Only counts priced within NEAR of the minimum or of the limit can
-    fall on the other side when rounded exactly, so those are re-priced
-    exactly with Fraction.
+    So only counts priced within 5 ulps of the minimum can hold the
+    least rounded cost, and only those within 2.5 ulps of the limit can
+    fall on the other side of it: counts priced within NEAR of either
+    are re-priced exactly with Fraction.
     """
     assert demand <= MAX_DEMAND
     inv = inverse_powers(q)
