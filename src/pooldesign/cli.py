@@ -21,7 +21,7 @@ import click
 
 from .core import as_partition
 from .sim import simulate_design
-from .solvers import SOLVERS
+from .solvers import SOLVERS, _dp_solutions
 
 CSV_HEADER = ["N", "p", "method", "partition", "expected_tests", "n_star"]
 
@@ -304,9 +304,11 @@ def cmd_table(demands, probabilities, method: str, fmt: str):
         for p in sorted(probabilities):
             q = 1.0 - p
             low, high = _constant_size_fields(p)
-            for demand in demands:
-                solution = SOLVERS[method](demand, q)
-                rows.append(_design_row(demand, p, method, solution, low, high))
+            if method == "dp":  # one table serves every demand
+                solutions = _dp_solutions(demands, q)
+            else:
+                solutions = [SOLVERS[method](demand, q) for demand in demands]
+            rows += [_design_row(d, p, method, s, low, high) for d, s in zip(demands, solutions)]
     except (ValueError, OverflowError) as exc:
         _domain_error(exc)
     if fmt == "json":

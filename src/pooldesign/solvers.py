@@ -3,7 +3,8 @@
 Four routes to the same question, cheapest expected total tests
 sum of q**-n_i over batch sizes n_i summing to N:
 
-- dp_solve: exact O(N^2) dynamic program over the demand.
+- dp_solve: exact dynamic program over the batch sizes that can win,
+  O(N * b) with b ~ 2 ln 2 / ln(1/q) capped at N (see build_dp_table).
 - sweep_solve: exact search that exploits two convexity facts: among
   designs with a fixed number of batches, the most balanced one (sizes
   differing by at most one) is optimal, and that design's cost is
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     VALUE_ATOL,
@@ -45,9 +47,6 @@ from .core import (
     optimal_constant_size,
     values_close,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Partition counts grow super-polynomially (N = 50 already has ~200k),
 # so the exhaustive solver refuses larger demands.
@@ -81,7 +80,7 @@ def _inverse_power_table(q: float, n_max: int) -> list[float]:
 
 @dataclass(frozen=True)
 class DpTable:
-    """Dynamic-programming table over demands 0..N.
+    """Dynamic-programming table over demands 0..N, as read-only tuples.
 
     values[n] is the optimal expected test count for demand n
     (values[0] = 0); choices[n] is the size of one batch of the design
@@ -95,12 +94,8 @@ class DpTable:
     design may hold more batches than the fewest within the tolerance.
     """
 
-    values: np.ndarray
-    choices: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-        self.choices.setflags(write=False)
+    values: tuple[float, ...]
+    choices: tuple[int, ...]
 
 
 def build_dp_table(demand: int, q: float) -> DpTable:
@@ -109,51 +104,64 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     Recursion: cost(0) = 0 and
     cost(n) = min over x in 1..n of q**-x + cost(n - x),
     where x is the size of one batch and n - x the demand it leaves.
+
+    Only x up to a band is tried.  A batch of x costs e(x) = q**-x -
+    q**-floor(x/2) - q**-ceil(x/2) more than its halves, and e never
+    decreases: each step adds (1/q - 1) q**-k (q**-k - 1) or
+    (1/q - 1) q**-k (q**-(k+1) - 1), both >= 0.  The band ends before the
+    first x with e(x) > slack, twice the cost tolerance at N / q, which no
+    cost up to N exceeds.  So every larger x loses to floor(x/2) by more
+    than any tolerance: it is never the first minimum nor within the
+    tolerance, and the table is the full recursion's, bit for bit.
     """
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
-    # numpy is imported here, not at module level, so that the other
-    # solvers and the CLI's start-up never load it.
-    import numpy as np
-
-    inv = np.array(_inverse_power_table(q, demand))
-    values = np.zeros(demand + 1)
-    # stored[n] is the cost of the stored design.  It is held within one
-    # tolerance of the exact minimum values[n], so the slack a design
-    # inherits from its sub-designs never adds up past that.
-    stored = np.zeros(demand + 1)
-    choices = np.zeros(demand + 1, dtype=np.int64)
+    inv = _inverse_power_table(q, demand)
+    slack = 2 * (VALUE_ATOL + VALUE_RTOL * demand / q)
+    splits = (x for x in range(2, demand + 1) if inv[x] - inv[x // 2] - inv[x - x // 2] > slack)
+    band = next(splits, demand + 1) - 1
+    descending = inv[band:0:-1]  # one batch of band, band - 1, ..., 1
+    # stored[n], the cost of the stored design, is held within one tolerance
+    # of the exact minimum values[n], so inherited slack never adds up past it
+    values, stored, choices = [0.0], [0.0], [0]
     for n in range(1, demand + 1):
-        # candidates[j] = cost of one batch of n - j plus the j items left
-        batch = inv[n:0:-1]
-        candidates = batch + values[:n]
-        exact = int(candidates.argmin())
-        best = float(candidates[exact])
-        within = batch + stored[:n] <= best + VALUE_ATOL + VALUE_RTOL * best
-        within[exact] = True  # in case rounding pushes the minimum out
-        # the first j within tolerance is the largest batch size
-        j = int(within.argmax())
-        values[n] = best
-        stored[n] = batch[j] + stored[j]
-        choices[n] = n - j
-    return DpTable(values=values, choices=choices)
+        # batch i has size width - i and leaves the demand low + i
+        width = min(n, band)
+        low = n - width
+        batch = descending[band - width :]
+        candidates = list(map(operator.add, batch, values[low:]))
+        best = min(candidates)
+        exact = candidates.index(best)
+        limit = best + VALUE_ATOL + VALUE_RTOL * best
+        # the first i within tolerance is the largest batch size; exact
+        # is taken in case rounding pushes the minimum out
+        costs = map(operator.add, batch, stored[low : low + exact])
+        i = next((i for i, cost in enumerate(costs) if cost <= limit), exact)
+        values.append(best)
+        stored.append(batch[i] + stored[low + i])
+        choices.append(width - i)
+    return DpTable(tuple(values), tuple(choices))
 
 
-def _walk_choices(table: DpTable) -> Partition:
+def _walk_choices(table: DpTable, demand: int) -> Partition:
     sizes = []
-    n = len(table.values) - 1
-    while n > 0:
-        x = int(table.choices[n])
-        sizes.append(x)
-        n -= x
+    while demand > 0:
+        sizes.append(table.choices[demand])
+        demand -= sizes[-1]
     return Partition(tuple(sizes))
+
+
+def _dp_solutions(demands: Sequence[int], q: float) -> list[DesignSolution]:
+    """dp_solve per demand, walked from one table for the largest: choices[n] reads below n."""
+    demands = [_check_int(demand, "demand", 1) for demand in demands]
+    table = build_dp_table(max(demands), q)
+    partitions = [_walk_choices(table, demand) for demand in demands]
+    return [DesignSolution(p, expected_waiting_time(p, q), "dp") for p in partitions]
 
 
 def dp_solve(demand: int, q: float) -> DesignSolution:
     """Exact optimum by dynamic programming over the demand."""
-    table = build_dp_table(demand, q)
-    partition = _walk_choices(table)
-    return DesignSolution(partition, expected_waiting_time(partition, q), "dp")
+    return _dp_solutions((demand,), q)[0]
 
 
 def balanced_partition(demand: int, groups: int) -> Partition:
@@ -287,13 +295,15 @@ def brute_force_solve(demand: int, q: float) -> DesignSolution:
             total += inv[n]
         return total
 
-    # the least cost first, then the fewest batches within tolerance of it
-    best = min(map(cost, integer_partitions(demand)))
-    _, ascending = min(
-        (len(descending), descending[::-1])
-        for descending in integer_partitions(demand)
-        if values_close(cost(descending), best)
-    )
+    # one walk: a partition within tolerance of the final least cost is
+    # within it of the least cost so far; of those, the fewest batches win
+    best, kept = math.inf, []
+    for descending in integer_partitions(demand):
+        total = cost(descending)
+        best = min(best, total)
+        if values_close(total, best):
+            kept.append((total, descending))
+    _, ascending = min((len(d), d[::-1]) for total, d in kept if values_close(total, best))
     partition = Partition(ascending)
     return DesignSolution(partition, expected_waiting_time(partition, q), "brute")
 

@@ -118,7 +118,7 @@ class TestBruteForce:
     # double range from n = 45
     @pytest.mark.parametrize("q", (1.0, 1 / 2, 2 / 3, 3 / 4, 9 / 10, 99 / 100, 0.3, 0.85, 1e-7))
     def test_power_list_is_bit_identical_to_the_numpy_table(self, q):
-        # the one q**-n builder, which dp wraps in a numpy table, holds
+        # the one q**-n builder, whose list dp searches, holds
         # the per-batch values the reported cost sums: hex-equal wherever
         # batch_waiting_time returns, inf exactly where it overflows
         want = [1.0]
@@ -173,9 +173,9 @@ class TestDpTable:
 
     def test_tables_are_read_only(self):
         table = build_dp_table(5, 0.9)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             table.values[2] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             table.choices[2] = 1
 
 
@@ -510,7 +510,7 @@ class TestMajorization:
 class TestPowerTableConsistency:
     @pytest.mark.parametrize("q", Q_GRID)
     def test_dp_values_match_scalar_powers(self, q):
-        # the vectorized table must track the scalar arithmetic closely
+        # the table must track the scalar arithmetic closely
         table = build_dp_table(1, q)
         assert table.values[1] == pytest.approx(batch_waiting_time(1, q), rel=1e-13)
         sol = dp_solve(64, q)

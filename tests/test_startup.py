@@ -1,9 +1,9 @@
 """Which paths load numpy, checked in fresh interpreters.
 
-Only the dp solver and the simulator compute with arrays, so only they
-import numpy.  Importing the package, starting the CLI, help, flag and
-domain errors, and the sweep, theorem and brute solvers run without
-it.  pytest has already imported numpy, so every case runs in its own
+Only the simulator computes with arrays, so only `simulate` imports
+numpy.  Importing the package, starting the CLI, help, flag and domain
+errors, and `solve` and `table` with every solver run without it.
+pytest has already imported numpy, so every case runs in its own
 `python -m pooldesign` process and reports `sys.modules` at exit.
 """
 
@@ -87,6 +87,14 @@ def test_import_skips_numpy(module):
             for fmt in ("text", "json", "csv")
         ],
         (("table", "--n-range", "1:300:7", "--p-list", "0.01,0.5", "--method", "sweep"), 0),
+        # dp searches a band of batch sizes in plain Python; it is the default
+        (("solve", "--n", "250", "--p", "0.01"), 0),
+        *[
+            (("solve", "--n", "250", "--p", "0.01", "--method", "dp", "--format", fmt), 0)
+            for fmt in ("text", "json", "csv")
+        ],
+        (("table", "--n-range", "10:300:10", "--p-list", "0.01,0.3", "--method", "dp"), 0),
+        (("table", "--n-range", "1:300:7", "--p-list", "0.01,0.5"), 0),
     ],
 )
 def test_paths_without_arrays_skip_numpy(args, code):
@@ -98,8 +106,6 @@ def test_paths_without_arrays_skip_numpy(args, code):
 @pytest.mark.parametrize(
     "args",
     [
-        ("solve", "--n", "250", "--p", "0.01", "--method", "dp"),
-        ("table", "--n-range", "10:300:10", "--p-list", "0.01,0.3", "--method", "dp"),
         ("simulate", "--sizes", "83,83,84", "--p", "0.01", "--reps", "1000", "--seed", "3"),
         ("simulate", "--n", "20", "--p", "0.1", "--method", "theorem", "--reps", "500",
          "--format", "json"),
