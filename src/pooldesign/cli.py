@@ -12,8 +12,6 @@ Exit codes: 0 success, 2 bad flags, 3 domain error from the library
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 
@@ -104,7 +102,7 @@ def _n_star_cell(low: int | None, high: int | None) -> str:
     return str(low)
 
 
-def _partition_cell(sizes: tuple[int, ...]) -> str:
+def _partition_cell(sizes: tuple[int, ...] | list[int]) -> str:
     return "|".join(str(n) for n in sizes)
 
 
@@ -121,21 +119,42 @@ def _design_row(demand: int, p: float, method: str, solution, low, high) -> dict
 
 
 def _echo_design_csv(rows: list[dict]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    # No cell needs quoting: they are ints, float reprs (str of a float is
+    # its repr), a method name and "|"-joined ints, so none can hold a
+    # comma, quote or newline.
+    lines = [",".join(CSV_HEADER)]
     for row in rows:
-        writer.writerow(
-            [
-                row["n"],
-                row["p"],
-                row["method"],
-                _partition_cell(tuple(row["partition"])),
-                repr(row["expected_tests"]),
-                _n_star_cell(row["n_star"], row["n_star_tie"]),
-            ]
-        )
-    click.echo(buffer.getvalue(), nl=False)
+        partition = _partition_cell(row["partition"])
+        star = _n_star_cell(row["n_star"], row["n_star_tie"])
+        cells = (row["n"], row["p"], row["method"], partition, row["expected_tests"], star)
+        lines.append(",".join(map(str, cells)))
+    click.echo("\n".join(lines))
+
+
+_p_option = click.option(
+    "--p",
+    type=float,
+    required=True,
+    callback=_check_probability,
+    help="Per-item defect probability, 0 <= p < 1.",
+)
+
+
+def _method_option(help_text: str):
+    choice = click.Choice(tuple(SOLVERS))
+    return click.option("--method", type=choice, default="dp", show_default=True, help=help_text)
+
+
+def _format_option(*choices: str):
+    """--format over the given choices, the first being the default."""
+    return click.option(
+        "--format",
+        "fmt",
+        type=click.Choice(choices),
+        default=choices[0],
+        show_default=True,
+        help="Output format.",
+    )
 
 
 @click.group()
@@ -145,28 +164,9 @@ def main():
 
 @main.command(name="solve")
 @click.option("--n", "demand", type=int, required=True, help="Demand: good items needed.")
-@click.option(
-    "--p",
-    type=float,
-    required=True,
-    callback=_check_probability,
-    help="Per-item defect probability, 0 <= p < 1.",
-)
-@click.option(
-    "--method",
-    type=click.Choice(tuple(SOLVERS)),
-    default="dp",
-    show_default=True,
-    help="Solver to run.",
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(("text", "json", "csv")),
-    default="text",
-    show_default=True,
-    help="Output format.",
-)
+@_p_option
+@_method_option("Solver to run.")
+@_format_option("text", "json", "csv")
 def cmd_solve(demand: int, p: float, method: str, fmt: str):
     """Compute the cheapest batch design for one demand."""
     q = 1.0 - p
@@ -197,30 +197,11 @@ def cmd_solve(demand: int, p: float, method: str, fmt: str):
     default=None,
     help="Explicit batch sizes to simulate, e.g. 83,83,84.",
 )
-@click.option(
-    "--p",
-    type=float,
-    required=True,
-    callback=_check_probability,
-    help="Per-item defect probability, 0 <= p < 1.",
-)
-@click.option(
-    "--method",
-    type=click.Choice(tuple(SOLVERS)),
-    default="dp",
-    show_default=True,
-    help="Solver used with --n.",
-)
+@_p_option
+@_method_option("Solver used with --n.")
 @click.option("--reps", type=int, default=10000, show_default=True, help="Replications.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Stream seed.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(("text", "json")),
-    default="text",
-    show_default=True,
-    help="Output format.",
-)
+@_format_option("text", "json")
 def cmd_simulate(demand, sizes, p, method, reps, seed, fmt):
     """Monte Carlo check of a design's expected total tests."""
     if (demand is None) == (sizes is None):
@@ -282,21 +263,8 @@ def cmd_simulate(demand, sizes, p, method, reps, seed, fmt):
     callback=_check_probability_list,
     help="Comma-separated defect probabilities.",
 )
-@click.option(
-    "--method",
-    type=click.Choice(tuple(SOLVERS)),
-    default="dp",
-    show_default=True,
-    help="Solver to run per row.",
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(("csv", "json")),
-    default="csv",
-    show_default=True,
-    help="Output format.",
-)
+@_method_option("Solver to run per row.")
+@_format_option("csv", "json")
 def cmd_table(demands, probabilities, method: str, fmt: str):
     """Design table over a demand grid and a list of defect rates."""
     rows = []

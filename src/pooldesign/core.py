@@ -201,10 +201,8 @@ def optimal_constant_size(q: float) -> ConstantSizeResult:
         raise ValueError(f"constant-size optimum needs q in (0, 1), got {q}")
     if q < 0.5:
         return ConstantSizeResult(1, None, mu(1, q))
-    if q == 0.5:
-        return ConstantSizeResult(1, 2, mu(1, q))
-    # 1 - q is exact for q > 1/2 and its reciprocal is off by far less
-    # than 1/2, so lo / (lo + 1) is the boundary nearest q and the
+    # 1 - q is exact for q >= 1/2 (Sterbenz) and its reciprocal is off by
+    # far less than 1/2, so lo / (lo + 1) is the boundary nearest q and the
     # optimum, floor(1 / (1 - q)), is lo or lo + 1.
     lo = round(1.0 / (1.0 - q)) - 1
     # Comparing q with lo / (lo + 1) decides exactly what comparing the

@@ -67,16 +67,12 @@ class SimulationReport:
 
 
 def _uniform_stream(generator: np.random.Philox, count: int) -> np.ndarray:
-    # numpy is imported here and in the two functions below, not at module
-    # level, so that importing the package or starting the CLI skips it.
-    import numpy as np
-
     # Philox is counter-based: the same key always yields the same word
     # sequence, independent of platform, numpy version and of how the
     # sequence is split across calls.
     raw = generator.random_raw(count)
-    raw >>= np.uint64(11)
-    uniforms = raw.astype(np.float64)
+    raw >>= 11  # in place, so raw stays uint64
+    uniforms = raw.astype(float)
     uniforms *= 2.0**-53
     return uniforms
 
@@ -90,11 +86,9 @@ def _log_fail(n: int, q: float) -> float:
 
 def _integer_sums(totals: np.ndarray, top: float) -> tuple[int, int]:
     """Exact sum and sum of squares of integral, finite float64 totals."""
-    import numpy as np
-
     if len(totals) * int(top) ** 2 < 2**63:
-        ints = totals.astype(np.int64)
-        return int(ints.sum()), int(np.dot(ints, ints))
+        ints = totals.astype("int64")
+        return int(ints.sum()), int(ints @ ints)
     ints = [int(t) for t in totals.tolist()]
     return sum(ints), sum(t * t for t in ints)
 
@@ -130,6 +124,8 @@ def simulate_design(
     seed = _check_int(seed, "seed")
     analytic = expected_waiting_time(part, q)
 
+    # numpy is imported here, not at module level, so that importing the
+    # package or starting the CLI skips it.
     import numpy as np
 
     batches = len(part.sizes)

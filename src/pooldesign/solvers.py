@@ -113,6 +113,14 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     cost up to N exceeds.  So every larger x loses to floor(x/2) by more
     than any tolerance: it is never the first minimum nor within the
     tolerance, and the table is the full recursion's, bit for bit.
+
+    Rows below single, the first n with q**-n >= 2, are one batch of n.
+    Every split of such an n has two or more batches, each costing at
+    least 1, so its float sum is at least 2 > q**-n: x = n is the unique
+    first minimum, and no larger batch is left for the tolerance scan.
+    These rows lie in the band, since e(x) < 2 - 1 - 1 = 0 for x <= n.
+    So where q**-N < 2 (N <= ln 2 / p, roughly) the table is linear in N;
+    a wide band with N past ln 2 / p stays quadratic.
     """
     demand = _check_int(demand, "demand", 1)
     _check_q(q)
@@ -121,10 +129,12 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     splits = (x for x in range(2, demand + 1) if inv[x] - inv[x // 2] - inv[x - x // 2] > slack)
     band = next(splits, demand + 1) - 1
     descending = inv[band:0:-1]  # one batch of band, band - 1, ..., 1
+    single = next((n for n in range(1, band + 1) if inv[n] >= 2.0), band + 1)
     # stored[n], the cost of the stored design, is held within one tolerance
     # of the exact minimum values[n], so inherited slack never adds up past it
-    values, stored, choices = [0.0], [0.0], [0]
-    for n in range(1, demand + 1):
+    values = [0.0, *inv[1:single]]
+    stored, choices = values.copy(), list(range(single))
+    for n in range(single, demand + 1):
         # batch i has size width - i and leaves the demand low + i
         width = min(n, band)
         low = n - width

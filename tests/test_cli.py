@@ -5,8 +5,11 @@ Covers output formats, flag validation, the exit-code contract
 of the simulate subcommand.
 """
 
+import csv
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +333,61 @@ class TestTable:
             "--method", "brute", "--format", "json",
         )
         assert all(row["method"] == "brute" for row in json.loads(result.output))
+
+
+# ---------------------------------------------------------------------------
+# csv output read back by a csv parser
+
+# p = 0 has no constant optimum, 0.01 ties sizes 99 and 100, and the last
+# value's 1 / p lies just off an integer
+CSV_PROBABILITIES = ("0", "0.01", "1e-05", "3.704824756333552e-07")
+# theorem needs q < 1, so it is the one method without p = 0
+CSV_CASES = [
+    (seed, method, p)
+    for seed, (method, p) in enumerate(
+        itertools.product(("dp", "sweep", "theorem", "brute"), CSV_PROBABILITIES)
+    )
+    if (method, p) != ("theorem", "0")
+]
+
+
+def csv_cells(row):
+    """The six cells a csv row holds for one json row."""
+    star = "" if row["n_star"] is None else str(row["n_star"])
+    if row["n_star_tie"] is not None:
+        star += f"|{row['n_star_tie']}"
+    partition = "|".join(str(n) for n in row["partition"])
+    return [str(row["n"]), repr(row["p"]), row["method"], partition,
+            repr(row["expected_tests"]), star]
+
+
+class TestCsvParses:
+    def read_back(self, runner, *args):
+        """The csv output as csv.reader reads it, and the cells its json output implies."""
+        parsed = list(csv.reader(invoke(runner, *args, "--format", "csv").output.splitlines()))
+        rows = json.loads(invoke(runner, *args, "--format", "json").output)
+        rows = [rows] if args[0] == "solve" else rows
+        return parsed, [CSV_HEADER.split(",")] + [csv_cells(row) for row in rows]
+
+    @pytest.mark.parametrize("seed,method,p", CSV_CASES)
+    def test_solve_csv_reads_back_the_json_cells(self, runner, seed, method, p):
+        demand = random.Random(seed).randint(1, 50 if method == "brute" else 3000)
+        parsed, expected = self.read_back(
+            runner, "solve", "--n", str(demand), "--p", p, "--method", method
+        )
+        assert parsed == expected and len(parsed) == 2
+
+    @pytest.mark.parametrize("seed,method,p", CSV_CASES)
+    def test_table_csv_reads_back_the_json_cells(self, runner, seed, method, p):
+        rng = random.Random(seed)
+        start = rng.randint(1, 40 if method == "brute" else 2000)
+        step = rng.randint(1, 5)
+        demands = f"{start}:{start + 2 * step}:{step}"
+        parsed, expected = self.read_back(
+            runner, "table", "--n-range", demands, "--p-list", f"{p},0.3",
+            "--method", method,
+        )
+        assert parsed == expected and len(parsed) == 7
 
 
 # ---------------------------------------------------------------------------

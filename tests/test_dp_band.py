@@ -110,7 +110,7 @@ def test_one_table_checks_every_demand():
         _dp_solutions([5, 0, 9], 0.9)
 
 
-@pytest.mark.parametrize("demand,q", ((100_000, 0.99), (1500, 0.5)))
+@pytest.mark.parametrize("demand,q", ((100_000, 0.99), (1500, 0.5), (20_000, 1 - 1e-7)))
 def test_dp_sweep_and_theorem_agree_at_scale(demand, q):
     design = dp_solve(demand, q)
     assert sweep_solve(demand, q).partition == design.partition
