@@ -16,14 +16,14 @@ distribution methods are involved, so a numpy upgrade cannot shift the
 stream, and the draw for a given (seed, replication, batch) slot never
 depends on how many replications are requested by other callers.
 
-The stream is read in chunks of whole replications, about 2**16 words
-each, so memory is bounded by the chunk rather than by replications x
-batches; since Philox is counter-based, consecutive reads yield the same
-words as one large read.  Each replication's total is an integer, and
-the mean and variance come from exact integer sums of the totals and
-their squares, so they are correctly rounded and do not depend on the
-chunking.  Totals stay exact while below 2**53; past that the float
-draws themselves are rounded, and the report says so with exact=False.
+The stream is read in chunks of whole replications, about 2**15 words
+each, so memory is bounded by the chunk, not by replications x batches;
+Philox is counter-based, so consecutive reads yield one large read's
+words.  Totals are integers, so a BLAS row sum is exact in any order
+below 2**53; a chunk whose top total reaches it is summed in numpy's
+fixed order.  Exact integer sums of the totals and their squares give
+a correctly rounded mean and variance, independent of the chunking.
+Past 2**53 the draws are rounded, and the report says so: exact=False.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 
 # Stream words read per chunk, rounded down to whole replications (at
 # least one): the working set of one call, whatever its replication count.
-_CHUNK_WORDS = 1 << 16
+_CHUNK_WORDS = 1 << 15
 # float64 integers, and so the replication totals, are exact below this.
 _EXACT_LIMIT = 2.0**53
 
@@ -69,19 +69,12 @@ class SimulationReport:
 def _uniform_stream(generator: np.random.Philox, count: int) -> np.ndarray:
     # Philox is counter-based: the same key always yields the same word
     # sequence, independent of platform, numpy version and of how the
-    # sequence is split across calls.
+    # sequence is split across calls.  Scaling by -2**-53 returns -u exactly.
     raw = generator.random_raw(count)
     raw >>= 11  # in place, so raw stays uint64
-    uniforms = raw.astype(float)
-    uniforms *= 2.0**-53
-    return uniforms
-
-
-def _log_fail(n: int, q: float) -> float:
-    # log1p(-p) for one batch; -inf when the batch always passes, so
-    # every draw transforms to 0 and is clamped to one test.
-    p = batch_pass_probability(n, q)
-    return math.log1p(-p) if p < 1.0 else -math.inf
+    negated = raw.astype(float)
+    negated *= -(2.0**-53)
+    return negated
 
 
 def _integer_sums(totals: np.ndarray, top: float) -> tuple[int, int]:
@@ -129,21 +122,27 @@ def simulate_design(
     import numpy as np
 
     batches = len(part.sizes)
-    rows_per_chunk = max(1, _CHUNK_WORDS // batches)
-    log_fail = np.array([_log_fail(n, q) for n in part.sizes])
+    rows_per_chunk = max(1, min(replications, _CHUNK_WORDS // batches))
+    # log1p(-p) per batch (-inf when it always passes, so its draws clamp to
+    # one test), one row per replication so that the divide runs flat
+    passes = [batch_pass_probability(n, q) for n in part.sizes]
+    log_fail = [math.log1p(-p) if p < 1.0 else -math.inf for p in passes]
+    divisor = np.tile(log_fail, (rows_per_chunk, 1))
     generator = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
     total = square_total = 0
     top = 0.0
     for start in range(0, replications, rows_per_chunk):
         rows = min(rows_per_chunk, replications - start)
         counts = _uniform_stream(generator, rows * batches).reshape(rows, batches)
-        np.negative(counts, out=counts)
         np.log1p(counts, out=counts)
         with np.errstate(over="ignore"):  # draws past double range are inf
-            counts /= log_fail
+            counts /= divisor[:rows]
         np.ceil(counts, out=counts)
         np.maximum(counts, 1.0, out=counts)
-        totals = counts.sum(axis=1)
+        # whole-number terms: any order sums them exactly below 2**53
+        totals = counts @ np.ones(batches)
+        if not float(totals.max()) < _EXACT_LIMIT:  # past it, a fixed order
+            totals = counts.sum(axis=1)
         chunk_top = float(totals.max())
         top = max(top, chunk_top)
         if top < math.inf:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate
@@ -98,6 +99,14 @@ class DpTable:
     choices: tuple[int, ...]
 
 
+def _check_demand(demand: int) -> int:
+    demand = _check_int(demand, "demand", 1)
+    if demand > sys.maxsize:  # before any table or tuple of N entries is built
+        raise ValueError(f"demand {demand} exceeds {sys.maxsize}: its design could"
+                         " need more batches than can be held")
+    return demand
+
+
 def build_dp_table(demand: int, q: float) -> DpTable:
     """Tabulate optimal costs for every demand up to the one given.
 
@@ -122,7 +131,7 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     So where q**-N < 2 (N <= ln 2 / p, roughly) the table is linear in N;
     a wide band with N past ln 2 / p stays quadratic.
     """
-    demand = _check_int(demand, "demand", 1)
+    demand = _check_demand(demand)
     _check_q(q)
     inv = _inverse_power_table(q, demand)
     slack = 2 * (VALUE_ATOL + VALUE_RTOL * demand / q)
@@ -163,7 +172,7 @@ def _walk_choices(table: DpTable, demand: int) -> Partition:
 
 def _dp_solutions(demands: Sequence[int], q: float) -> list[DesignSolution]:
     """dp_solve per demand, walked from one table for the largest: choices[n] reads below n."""
-    demands = [_check_int(demand, "demand", 1) for demand in demands]
+    demands = [_check_demand(demand) for demand in demands]
     table = build_dp_table(max(demands), q)
     partitions = [_walk_choices(table, demand) for demand in demands]
     return [DesignSolution(p, expected_waiting_time(p, q), "dp") for p in partitions]
@@ -244,7 +253,7 @@ def _sweep_count(demand: int, q: float) -> int:
 
 def sweep_solve(demand: int, q: float) -> DesignSolution:
     """Exact optimum over balanced splits, one per batch count (see _sweep_count)."""
-    demand = _check_int(demand, "demand", 1)
+    demand = _check_demand(demand)
     _check_q(q)
     partition = balanced_partition(demand, _sweep_count(demand, q))
     return DesignSolution(partition, expected_waiting_time(partition, q), "sweep")
@@ -261,7 +270,7 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
     so the fewest batches within tolerance of it win: at q = 1/2 that
     makes pairs, plus one single for odd N.
     """
-    demand = _check_int(demand, "demand", 1)
+    demand = _check_demand(demand)
     if not 0.0 < q < 1.0:
         raise ValueError(
             f"closed-form construction needs q in (0, 1), got {q}"
@@ -293,7 +302,7 @@ def brute_force_solve(demand: int, q: float) -> DesignSolution:
     Ground truth for the fast solvers; refuses demands above
     BRUTE_FORCE_CAP because the partition count explodes.
     """
-    demand = _check_int(demand, "demand", 1)
+    demand = _check_demand(demand)
     _check_q(q)
     if demand > BRUTE_FORCE_CAP:
         raise ValueError(f"demand {demand} exceeds the exhaustive-search cap {BRUTE_FORCE_CAP}")

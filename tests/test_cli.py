@@ -18,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import pooldesign
-from pooldesign import expected_waiting_time
+from pooldesign import expected_waiting_time, solvers
 from pooldesign.cli import main
 
 CSV_HEADER = "N,p,method,partition,expected_tests,n_star"
@@ -433,6 +433,31 @@ class TestExitCodes:
         result = invoke(runner, *args)
         assert result.exit_code == 3
         assert needle in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *(("solve", "--n", "99999999999999999999", "--p", "0.1", "--method", m)
+              for m in ("dp", "sweep", "theorem", "brute")),
+            ("solve", "--n", "9223372036854775808", "--p", "0.1"),
+            ("table", "--n-range", "99999999999999999999:99999999999999999999", "--p-list", "0.1"),
+            ("table", "--n-range", "99999999999999999999:99999999999999999999",
+             "--p-list", "0.1", "--method", "sweep"),
+        ],
+    )
+    def test_demand_past_sys_maxsize_exits_3_before_any_table(self, runner, monkeypatch, args):
+        # the default dp would otherwise grow a list of N + 1 floats until
+        # memory ran out; failing the table build keeps that from happening
+        def no_table(q, n_max):
+            raise AssertionError(f"q**-n table of {n_max + 1} entries requested")
+
+        monkeypatch.setattr(solvers, "_inverse_power_table", no_table)
+        result = invoke(runner, *args)
+        assert result.exit_code == 3
+        assert result.stderr == (
+            f"error: demand {args[2].split(':')[0]} exceeds {sys.maxsize}: "
+            "its design could need more batches than can be held\n"
+        )
 
     @pytest.mark.parametrize(
         "args",

@@ -72,6 +72,9 @@ CHUNK_CASES = [
     pytest.param((25, 60, 150), 0.995, 22_000, True, id="tall-3"),
     pytest.param((7, 7, 80, 200), 0.99, 17_000, True, id="tall-4"),
     pytest.param((3650, 3700, 3720), 0.99, 500, False, id="tall-inexact"),
+    # q**-3655 is just under 2**53, so totals fall on both sides of it and
+    # small chunks take both the BLAS row sum and its fixed-order fallback
+    pytest.param((5, 3655), 0.99, 400, False, id="straddle"),
 ]
 
 

@@ -6,6 +6,7 @@ small closed-form cases are derived by hand in-line.
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from pooldesign import (
     theorem_solve,
     values_close,
 )
+from pooldesign import solvers
 from pooldesign.solvers import _balanced_cost, _inverse_power_table
 
 Q_GRID = (0.3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99)
@@ -384,6 +386,18 @@ class TestSolverContract:
     def test_ascending_canonical_order(self, solver):
         sizes = solver(29, 0.97).partition.sizes
         assert sizes == tuple(sorted(sizes))
+
+    @pytest.mark.parametrize("solver", (*SOLVERS, build_dp_table))
+    @pytest.mark.parametrize("demand", (sys.maxsize + 1, 10**20))
+    def test_demand_past_sys_maxsize_is_refused_before_any_table(self, monkeypatch, solver, demand):
+        # were the check missing, dp would grow a list of N + 1 floats until
+        # memory ran out; failing the table build keeps that from happening
+        def no_table(q, n_max):
+            raise AssertionError(f"q**-n table of {n_max + 1} entries requested")
+
+        monkeypatch.setattr(solvers, "_inverse_power_table", no_table)
+        with pytest.raises(ValueError, match="more batches than can be held"):
+            solver(demand, 0.9)
 
 
     @pytest.mark.parametrize(
