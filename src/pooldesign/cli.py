@@ -19,7 +19,7 @@ import click
 
 from .core import as_partition
 from .sim import simulate_design
-from .solvers import SOLVERS, _dp_solutions
+from .solvers import SOLVERS, _check_demand, _dp_solutions
 
 CSV_HEADER = ["N", "p", "method", "partition", "expected_tests", "n_star"]
 
@@ -62,7 +62,7 @@ def _check_demand_range(ctx, param, value):
     step = numbers[2] if len(numbers) == 3 else 1
     if step < 1:
         raise click.BadParameter(f"step must be at least 1, got {step}")
-    demands = list(range(start, stop + 1, step))
+    demands = range(start, stop + 1, step)
     if not demands:
         raise click.BadParameter(f"range {value!r} selects no demands")
     return demands
@@ -269,6 +269,7 @@ def cmd_table(demands, probabilities, method: str, fmt: str):
     """Design table over a demand grid and a list of defect rates."""
     rows = []
     try:
+        _check_demand(demands[-1])  # the largest, before a range past sys.maxsize is walked
         for p in sorted(probabilities):
             q = 1.0 - p
             low, high = _constant_size_fields(p)

@@ -10,8 +10,9 @@ tests spent per accepted batch is geometric with mean q**-n.
 A design that needs N accepted items splits N into batch sizes
 n_1 + ... + n_I = N and pays an expected q**-n_1 + ... + q**-n_I tests.
 This module provides the per-batch arithmetic, the value types shared by
-the solvers, and the optimal batch size when every batch must have the
-same size.
+the solvers (Partition holds a design as (size, count) runs, so the work
+on a balanced one does not grow with I), and the optimal batch size when
+every batch must have the same size.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 # Absolute/relative tolerances for comparing candidate design costs:
 # well above double rounding noise and well below any real gap between
@@ -113,32 +115,42 @@ def per_item_cost(n: int, q: float) -> float:
 
 @dataclass(frozen=True)
 class Partition:
-    """Batch sizes summing to the demand, stored in ascending order."""
+    """Batch sizes summing to the demand, held as (size, count) runs, sizes ascending.
 
-    sizes: tuple[int, ...]
+    A balanced design is one or two runs, whatever its batch count I;
+    iteration yields the I sizes lazily, and sizes is their tuple.
+    """
+
+    runs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        cleaned = [_check_int(n, "batch size", 1) for n in self.sizes]
-        if not cleaned:
+        merged = Counter()
+        for size, count in self.runs:
+            merged[_check_int(size, "batch size", 1)] += _check_int(count, "run count", 1)
+        if not merged:
             raise ValueError("a design needs at least one batch")
-        object.__setattr__(self, "sizes", tuple(sorted(cleaned)))
+        object.__setattr__(self, "runs", tuple(sorted(merged.items())))
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def total(self) -> int:
-        return sum(self.sizes)
+        return sum(size * count for size, count in self.runs)
 
     def __len__(self) -> int:
-        return len(self.sizes)
+        return sum(count for _, count in self.runs)
 
-    def __iter__(self):
-        return iter(self.sizes)
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(repeat(size, count) for size, count in self.runs)
 
 
 def as_partition(sizes: Partition | Iterable[int]) -> Partition:
     """Coerce a Partition or an iterable of batch sizes to a Partition."""
     if isinstance(sizes, Partition):
         return sizes
-    return Partition(tuple(sizes))
+    return Partition(tuple((n, 1) for n in sizes))
 
 
 def _runs_cost(runs: Iterable[tuple[float, int]]) -> float:
@@ -162,8 +174,7 @@ def _runs_cost(runs: Iterable[tuple[float, int]]) -> float:
 
 def expected_waiting_time(partition: Partition | Iterable[int], q: float) -> float:
     """Expected total tests for a design: the sum of q**-n over its batches, rounded once."""
-    sizes = Counter(as_partition(partition).sizes)
-    total = _runs_cost([(batch_waiting_time(n, q), count) for n, count in sizes.items()])
+    total = _runs_cost([(batch_waiting_time(n, q), c) for n, c in as_partition(partition).runs])
     if math.isinf(total):
         raise OverflowError(f"expected total tests exceed double precision for q = {q}")
     return total

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 from .core import (
     Partition,
     _check_int,
-    _check_q,
     as_partition,
     batch_pass_probability,
     expected_waiting_time,
@@ -112,7 +111,6 @@ def simulate_design(
     design that cannot pass any test has no finite simulation either.
     """
     part = as_partition(partition)
-    _check_q(q)
     replications = _check_int(replications, "replications", 1)
     seed = _check_int(seed, "seed")
     analytic = expected_waiting_time(part, q)
@@ -121,11 +119,11 @@ def simulate_design(
     # package or starting the CLI skips it.
     import numpy as np
 
-    batches = len(part.sizes)
+    batches = len(part)
     rows_per_chunk = max(1, min(replications, _CHUNK_WORDS // batches))
     # log1p(-p) per batch (-inf when it always passes, so its draws clamp to
     # one test), one row per replication so that the divide runs flat
-    passes = [batch_pass_probability(n, q) for n in part.sizes]
+    passes = [batch_pass_probability(n, q) for n in part]
     log_fail = [math.log1p(-p) if p < 1.0 else -math.inf for p in passes]
     divisor = np.tile(log_fail, (rows_per_chunk, 1))
     generator = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
@@ -178,5 +176,5 @@ def simulate_stream_rate(n: int, q: float, replications: int, seed: int) -> floa
     Simulates one batch per replication and divides the mean test
     count by the batch size; converges to 1 / mu(n, q).
     """
-    report = simulate_design(Partition((n,)), q, replications, seed)
+    report = simulate_design(Partition(((n, 1),)), q, replications, seed)
     return report.mean_tests / n

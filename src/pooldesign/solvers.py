@@ -8,7 +8,8 @@ sum of q**-n_i over batch sizes n_i summing to N:
 - sweep_solve: exact search that exploits two convexity facts: among
   designs with a fixed number of batches, the most balanced one (sizes
   differing by at most one) is optimal, and that design's cost is
-  convex in the batch count.  It prices O(log N) counts, in plain Python.
+  convex in the batch count.  It prices O(log N) counts, in plain Python,
+  and builds the design as one or two (size, count) runs in O(1).
 - theorem_solve: closed-form candidate counts from the constant-size
   optimum, then sweep's fewest-count bisection; valid for 0 < q < 1.
 - brute_force_solve: enumerates every integer partition of the demand.
@@ -167,7 +168,7 @@ def _walk_choices(table: DpTable, demand: int) -> Partition:
     while demand > 0:
         sizes.append(table.choices[demand])
         demand -= sizes[-1]
-    return Partition(tuple(sizes))
+    return as_partition(sizes)
 
 
 def _dp_solutions(demands: Sequence[int], q: float) -> list[DesignSolution]:
@@ -187,17 +188,15 @@ def balanced_partition(demand: int, groups: int) -> Partition:
     """Split demand into the given number of batches, sizes within one.
 
     demand = groups * floor(demand / groups) + r leaves r batches one
-    item larger than the rest.
+    item larger than the rest: one or two runs, built in O(1).
     """
     demand = _check_int(demand, "demand", 1)
     groups = _check_int(groups, "batch count", 1)
     if groups > demand:
-        raise ValueError(
-            f"cannot split demand {demand} into {groups} nonempty batches"
-        )
+        raise ValueError(f"cannot split demand {demand} into {groups} nonempty batches")
     small, bumped = divmod(demand, groups)
-    sizes = (small,) * (groups - bumped) + (small + 1,) * bumped
-    return Partition(sizes)
+    runs = ((small, groups - bumped), (small + 1, bumped))
+    return Partition(runs if bumped else runs[:1])
 
 
 def _balanced_cost(demand: int, q: float) -> Callable[[int], float]:
@@ -271,10 +270,6 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
     makes pairs, plus one single for odd N.
     """
     demand = _check_demand(demand)
-    if not 0.0 < q < 1.0:
-        raise ValueError(
-            f"closed-form construction needs q in (0, 1), got {q}"
-        )
     s = demand // optimal_constant_size(q).n_star_low
     candidates = (s, min(s + 1, demand)) if s else (1,)
     count = _fewest_count(demand, _balanced_cost(demand, q), candidates)
@@ -323,7 +318,7 @@ def brute_force_solve(demand: int, q: float) -> DesignSolution:
         if values_close(total, best):
             kept.append((total, descending))
     _, ascending = min((len(d), d[::-1]) for total, d in kept if values_close(total, best))
-    partition = Partition(ascending)
+    partition = as_partition(ascending)
     return DesignSolution(partition, expected_waiting_time(partition, q), "brute")
 
 
@@ -344,14 +339,9 @@ def is_majorized_by(a: Partition | tuple[int, ...], b: Partition | tuple[int, ..
     sum of q**-n is Schur-convex, so a majorized (more balanced)
     partition never costs more.
     """
-    pa = as_partition(a).sizes[::-1]
-    pb = as_partition(b).sizes[::-1]
-    if len(pa) != len(pb):
-        raise ValueError(
-            f"majorization compares equal batch counts, got {len(pa)} and {len(pb)}"
-        )
-    if sum(pa) != sum(pb):
-        raise ValueError(
-            f"majorization compares equal totals, got {sum(pa)} and {sum(pb)}"
-        )
-    return all(x <= y for x, y in zip(accumulate(pa), accumulate(pb)))
+    a, b = as_partition(a), as_partition(b)
+    if len(a) != len(b):
+        raise ValueError(f"majorization compares equal batch counts, got {len(a)} and {len(b)}")
+    if a.total != b.total:
+        raise ValueError(f"majorization compares equal totals, got {a.total} and {b.total}")
+    return all(x <= y for x, y in zip(accumulate(a.sizes[::-1]), accumulate(b.sizes[::-1])))

@@ -18,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import pooldesign
-from pooldesign import expected_waiting_time, solvers
+from pooldesign import cli, expected_waiting_time, solvers
 from pooldesign.cli import main
 
 CSV_HEADER = "N,p,method,partition,expected_tests,n_star"
@@ -456,6 +456,32 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert result.stderr == (
             f"error: demand {args[2].split(':')[0]} exceeds {sys.maxsize}: "
+            "its design could need more batches than can be held\n"
+        )
+
+    @pytest.mark.parametrize("method", ("theorem", "dp", "sweep"))
+    @pytest.mark.parametrize(
+        "n_range,largest",
+        [
+            ("1:99999999999999999999", "99999999999999999999"),
+            ("1:9223372036854775808", "9223372036854775808"),
+            ("5:99999999999999999999:7", "99999999999999999996"),
+        ],
+    )
+    def test_range_past_sys_maxsize_exits_3_before_any_row(
+        self, runner, monkeypatch, method, n_range, largest
+    ):
+        # the largest demand is checked first: solving from the start of
+        # such a range would never reach it
+        def no_solve(*args):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(cli, "_dp_solutions", no_solve)
+        monkeypatch.setitem(cli.SOLVERS, method, no_solve)
+        result = invoke(runner, "table", "--n-range", n_range, "--p-list", "0.1", "--method", method)
+        assert result.exit_code == 3
+        assert result.stderr == (
+            f"error: demand {largest} exceeds {sys.maxsize}: "
             "its design could need more batches than can be held\n"
         )
 

@@ -176,10 +176,10 @@ class TestExpectedWaitingTime:
 
 class TestPartition:
     def test_sorts_ascending(self):
-        assert Partition((84, 83, 83)).sizes == (83, 83, 84)
+        assert as_partition((84, 83, 83)).sizes == (83, 83, 84)
 
     def test_total_len_iter(self):
-        part = Partition((3, 1, 2))
+        part = as_partition((3, 1, 2))
         assert part.total == 6
         assert len(part) == 3
         assert list(part) == [1, 2, 3]
@@ -191,27 +191,50 @@ class TestPartition:
     @pytest.mark.parametrize("bad", ((0,), (-2,), (1.5,), (2, 0), (True,)))
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ValueError):
-            Partition(bad)
+            as_partition(bad)
 
     def test_frozen(self):
-        part = Partition((1, 2))
+        part = as_partition((1, 2))
         with pytest.raises(dataclasses.FrozenInstanceError):
             part.sizes = (3,)
 
     def test_numpy_sizes_coerced(self):
-        part = Partition(tuple(np.array([2, 1], dtype=np.int64)))
+        part = as_partition(tuple(np.array([2, 1], dtype=np.int64)))
         assert part.sizes == (1, 2)
         assert all(type(n) is int for n in part.sizes)
 
     def test_as_partition_passthrough(self):
-        part = Partition((1, 2))
+        part = as_partition((1, 2))
         assert as_partition(part) is part
         assert as_partition([2, 1]).sizes == (1, 2)
 
 
+    def test_runs_merge_to_the_sizes_design(self):
+        part = Partition(((84, 1), (83, 2)))
+        assert part == as_partition((83, 84, 83))
+        assert hash(part) == hash(as_partition((83, 84, 83)))
+        assert part.runs == ((83, 2), (84, 1))
+
+    @pytest.mark.parametrize("bad", (0, -1, True))
+    def test_rejects_bad_counts(self, bad):
+        with pytest.raises(ValueError):
+            Partition(((3, bad),))
+
+    def test_runs_hold_the_sorted_sizes(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            sizes = [rng.randint(1, 9) for _ in range(rng.randint(1, 40))]
+            part = as_partition(sizes)
+            ascending = sorted(sizes)
+            assert part.sizes == tuple(ascending)
+            assert list(part) == ascending
+            assert len(part) == len(ascending)
+            assert part.total == sum(ascending)
+
+
 class TestDesignSolution:
     def test_holds_fields(self):
-        sol = DesignSolution(Partition((1, 2)), 6.0, "dp")
+        sol = DesignSolution(as_partition((1, 2)), 6.0, "dp")
         assert sol.partition.sizes == (1, 2)
         assert sol.expected_tests == 6.0
         assert sol.method == "dp"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pooldesign import (
-    Partition,
+    as_partition,
     batch_pass_probability,
     expected_waiting_time,
     per_item_cost,
@@ -252,7 +252,7 @@ class TestStatisticalAgreement:
 
 class TestStreamRate:
     def test_matches_single_batch_simulation(self):
-        report = simulate_design(Partition((10,)), 0.95, 500, 11)
+        report = simulate_design(as_partition((10,)), 0.95, 500, 11)
         assert simulate_stream_rate(10, 0.95, 500, 11) == report.mean_tests / 10
 
     def test_converges_to_per_item_cost(self):

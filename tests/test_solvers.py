@@ -4,9 +4,11 @@ The exhaustive solver is the ground-truth oracle for every fast route;
 small closed-form cases are derived by hand in-line.
 """
 
+import dataclasses
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,6 +275,13 @@ class TestBalancedPartition:
         with pytest.raises(ValueError):
             balanced_partition(10, bad)
 
+    def test_holds_at_most_two_runs(self):
+        part = balanced_partition(10**15, 7)
+        assert len(part.runs) <= 2
+        assert part.total == 10**15
+        assert len(part) == 7
+        assert balanced_partition(10**15, 5).runs == ((2 * 10**14, 5),)
+
 
 class TestSweepSolve:
     @pytest.mark.parametrize("q", Q_GRID)
@@ -365,6 +374,18 @@ class TestTheoremSolve:
 
     def test_method_label(self):
         assert theorem_solve(9, 0.9).method == "theorem"
+
+    @pytest.mark.parametrize("q", (0.5, 0.9, 0.99))
+    def test_runs_at_a_demand_of_1e18(self, q):
+        # about 10**16 batches: read the runs only, never the sizes
+        demand = 10**18
+        solution = theorem_solve(demand, q)
+        runs = solution.partition.runs
+        assert len(runs) == 2
+        assert sum(n * count for n, count in runs) == demand
+        exact = sum(count * Fraction(batch_waiting_time(n, q)) for n, count in runs)
+        assert solution.expected_tests == float(exact)
+        assert sweep_solve(demand, q) == dataclasses.replace(solution, method="sweep")
 
 
 # ---------------------------------------------------------------------------
