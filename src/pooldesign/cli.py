@@ -17,7 +17,7 @@ import sys
 
 import click
 
-from .core import as_partition
+from .core import _constant_sizes, as_partition
 from .sim import simulate_design
 from .solvers import SOLVERS, _check_demand, _dp_solutions
 
@@ -80,18 +80,6 @@ def _check_sizes(ctx, param, value):
 def _domain_error(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(3)
-
-
-def _constant_size_fields(p: float) -> tuple[int | None, int | None]:
-    # Sizes k - 1 and k tie when p = 1/k, else floor(1/p) is optimal.  Both
-    # are exact from p; q = 1 - p has lost the bits that tell them apart.
-    if 1.0 - p == 1.0:  # q = 1 has no finite constant-size optimum
-        return None, None
-    k = round(1.0 / p)
-    if p == 1.0 / k:  # the double nearest 1/k is the tie
-        return k - 1, k
-    num, den = p.as_integer_ratio()
-    return den // num, None
 
 
 def _n_star_cell(low: int | None, high: int | None) -> str:
@@ -174,7 +162,7 @@ def cmd_solve(demand: int, p: float, method: str, fmt: str):
         solution = SOLVERS[method](demand, q)
     except (ValueError, OverflowError) as exc:
         _domain_error(exc)
-    low, high = _constant_size_fields(p)
+    low, high = _constant_sizes(p)
     row = _design_row(demand, p, method, solution, low, high)
     if fmt == "json":
         click.echo(json.dumps(row, indent=2))
@@ -272,7 +260,7 @@ def cmd_table(demands, probabilities, method: str, fmt: str):
         _check_demand(demands[-1])  # the largest, before a range past sys.maxsize is walked
         for p in sorted(probabilities):
             q = 1.0 - p
-            low, high = _constant_size_fields(p)
+            low, high = _constant_sizes(p)
             if method == "dp":  # one table serves every demand
                 solutions = _dp_solutions(demands, q)
             else:

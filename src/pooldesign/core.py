@@ -12,13 +12,15 @@ n_1 + ... + n_I = N and pays an expected q**-n_1 + ... + q**-n_I tests.
 This module provides the per-batch arithmetic, the value types shared by
 the solvers (Partition holds a design as (size, count) runs, so the work
 on a balanced one does not grow with I), and the optimal batch size when
-every batch must have the same size.
+every batch must have the same size, decided exactly from the defect
+probability p = 1 - q.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -29,11 +31,6 @@ from typing import Iterable, Iterator
 # distinct small candidates.
 VALUE_ATOL = 1e-12
 VALUE_RTOL = 1e-12
-# Sizes n and n + 1 tie exactly when q = n / (n + 1).  A q within this
-# many ulps of that ratio is the tie: it absorbs the rounding of q = 1 - p
-# and of the ratio, while the throughput gap of a non-tie shrinks like
-# 1/n**2 and falls below any fixed relative tolerance as n grows.
-_TIE_ULPS = 4
 
 
 def values_close(a: float, b: float) -> bool:
@@ -129,6 +126,8 @@ class Partition:
             merged[_check_int(size, "batch size", 1)] += _check_int(count, "run count", 1)
         if not merged:
             raise ValueError("a design needs at least one batch")
+        if (batches := sum(merged.values())) > sys.maxsize:  # len() could not report it
+            raise ValueError(f"a design holds at most {sys.maxsize} batches, got {batches}")
         object.__setattr__(self, "runs", tuple(sorted(merged.items())))
 
     @property
@@ -184,18 +183,31 @@ def expected_waiting_time(partition: Partition | Iterable[int], q: float) -> flo
 class ConstantSizeResult:
     """Optimal batch size(s) when every batch must have the same size.
 
-    n_star_low is the optimal size; n_star_high is set when the next
-    size up ties with it: when q lies within 4 ulps of n / (n + 1) for
-    an integer n.  That band spans about 4.4e-16 * n**2 in 1 / (1 - q),
-    so a q whose 1 / (1 - q) lies that near an integer reports a tie
-    that is not there (1 / (1 - q) = 2699183.00027 reports 2699182 and
-    2699183), and past n of about 3e7, where adjacent ratios lie closer
-    than 4 ulps, a tie may be one size off.
+    n_star_low is the optimal size; n_star_high is the next size up when
+    the two tie, which they do exactly at p = 1 - q = 1 / (n + 1): when q
+    is the double nearest n / (n + 1) or 1 - p for p the double nearest
+    1 / (n + 1).  Any other q is decided exactly, with no tie.
     """
 
     n_star_low: int
     n_star_high: int | None
     items_per_test: float
+
+
+def _constant_sizes(p: float) -> tuple[int | None, int | None]:
+    """Optimal constant batch size(s) for defect probability p, exact in p.
+
+    Sizes k - 1 and k tie when p is the double nearest 1 / k; otherwise
+    floor(1 / p), taken from p's integer ratio, is the one optimum.
+    (None, None) when q = 1 - p rounds to 1, which has no finite optimum.
+    """
+    if 1.0 - p == 1.0:
+        return None, None
+    k = round(1.0 / p)
+    if p == 1.0 / k:
+        return k - 1, k
+    num, den = p.as_integer_ratio()
+    return den // num, None
 
 
 def optimal_constant_size(q: float) -> ConstantSizeResult:
@@ -212,15 +224,11 @@ def optimal_constant_size(q: float) -> ConstantSizeResult:
         raise ValueError(f"constant-size optimum needs q in (0, 1), got {q}")
     if q < 0.5:
         return ConstantSizeResult(1, None, mu(1, q))
-    # 1 - q is exact for q >= 1/2 (Sterbenz) and its reciprocal is off by
-    # far less than 1/2, so lo / (lo + 1) is the boundary nearest q and the
-    # optimum, floor(1 / (1 - q)), is lo or lo + 1.
-    lo = round(1.0 / (1.0 - q)) - 1
-    # Comparing q with lo / (lo + 1) decides exactly what comparing the
-    # rounded mu values decides noisily once n is large.
-    boundary = lo / (lo + 1)
-    if abs(q - boundary) <= _TIE_ULPS * math.ulp(boundary):
-        return ConstantSizeResult(lo, lo + 1, mu(lo, q))
-    if q > boundary:
-        return ConstantSizeResult(lo + 1, None, mu(lo + 1, q))
-    return ConstantSizeResult(lo, None, mu(lo, q))
+    p = 1.0 - q  # exact for q >= 1/2 (Sterbenz)
+    k = round(1.0 / p)
+    # the double nearest (k - 1) / k, and 1 - p derived from p = 1 / k,
+    # both stand for the tie p = 1 / k
+    if q in ((k - 1) / k, 1.0 - 1.0 / k):
+        p = 1.0 / k
+    low, high = _constant_sizes(p)
+    return ConstantSizeResult(low, high, mu(low, q))

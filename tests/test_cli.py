@@ -418,6 +418,11 @@ class TestExitCodes:
     def test_usage_errors_exit_2(self, runner, args):
         assert invoke(runner, *args).exit_code == 2
 
+    def test_non_integer_range_bound_exits_2(self, runner):
+        result = invoke(runner, "table", "--n-range", "1:x", "--p-list", "0.1")
+        assert result.exit_code == 2
+        assert "range bounds must be integers" in result.stderr
+
     @pytest.mark.parametrize(
         "args,needle",
         [

@@ -8,6 +8,7 @@ for the trivial edges.
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from pooldesign import (
     optimal_constant_size,
     per_item_cost,
     sweep_solve,
+    theorem_solve,
     values_close,
 )
 from pooldesign.core import _runs_cost
@@ -231,6 +233,13 @@ class TestPartition:
             assert len(part) == len(ascending)
             assert part.total == sum(ascending)
 
+    def test_rejects_more_batches_than_len_can_report(self):
+        assert len(Partition(((1, sys.maxsize),))) == sys.maxsize
+        with pytest.raises(ValueError, match=f"at most {sys.maxsize} batches"):
+            Partition(((1, sys.maxsize + 1),))
+        with pytest.raises(ValueError, match=f"at most {sys.maxsize} batches"):
+            Partition(((1, sys.maxsize), (2, 1)))
+
 
 class TestDesignSolution:
     def test_holds_fields(self):
@@ -375,3 +384,55 @@ class TestOptimalConstantSize:
     def test_result_type(self):
         pick = optimal_constant_size(0.9)
         assert isinstance(pick, ConstantSizeResult)
+
+
+# ---------------------------------------------------------------------------
+# the tie is exact: q stands for p = 1/k only at the two doubles that name it
+
+
+def _ulps_away(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _near_tie_grid(k):
+    """q within 8 ulps of (k - 1) / k and of 1 - 1/k, as the CLI derives it."""
+    centres = ((k - 1) / k, 1.0 - 1.0 / k)
+    return sorted({_ulps_away(c, d) for c in centres for d in range(-8, 9)})
+
+
+TIE_KS = (2, 3, 10, 100, 10**6, 3 * 10**7, *random.Random(17).sample(range(2, 3 * 10**7), 30))
+
+
+class TestExactTie:
+    @pytest.mark.parametrize("k", TIE_KS)
+    def test_tie_only_at_the_two_doubles_of_the_ratio(self, k):
+        exact_ties = ((k - 1) / k, 1.0 - 1.0 / k)
+        for q in _near_tie_grid(k):
+            pick = optimal_constant_size(q)
+            tie = pick.n_star_high is not None
+            assert tie == (q in exact_ties), q
+            if tie:
+                assert (pick.n_star_low, pick.n_star_high) == (k - 1, k)
+                # every tie lies within 4 ulps of the ratio
+                assert abs(q - (k - 1) / k) <= 4 * math.ulp((k - 1) / k)
+            else:
+                assert pick.n_star_low == math.floor(1 / (1 - Fraction(q))), q
+            assert pick.items_per_test == mu(pick.n_star_low, q)
+
+    @pytest.mark.parametrize("k", TIE_KS[::4])
+    def test_theorem_and_sweep_agree_near_the_tie(self, k):
+        for q in _near_tie_grid(k)[::5]:
+            for demand in (3 * k + 1, 10**6 + 7):
+                theorem = theorem_solve(demand, q)
+                swept = sweep_solve(demand, q)
+                assert theorem.partition == swept.partition, (q, demand)
+
+    def test_two_ulps_above_a_tie_is_decided(self):
+        # two ulps above 99/100 is no tie: 1 - q is 1/100 less 2.2e-16,
+        # so 1 / (1 - q) is just above 100
+        q = math.nextafter(math.nextafter(0.99, 1.0), 1.0)
+        assert q == 0.9900000000000002
+        pick = optimal_constant_size(q)
+        assert (pick.n_star_low, pick.n_star_high) == (100, None)

@@ -6,6 +6,7 @@ unchunked read of the documented pipeline fixes every draw bit for bit.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from pooldesign import (
     as_partition,
+    balanced_partition,
     batch_pass_probability,
     expected_waiting_time,
     per_item_cost,
@@ -285,6 +287,11 @@ class TestValidation:
     def test_partition_validated(self):
         with pytest.raises(ValueError):
             simulate_design((0, 3), 0.9, 10, 0)
+
+    def test_design_past_sys_maxsize_batches_rejected(self):
+        # refused by name: len() could not report its batch count
+        with pytest.raises(ValueError, match=f"at most {sys.maxsize} batches"):
+            simulate_design(balanced_partition(10**20, 10**20), 0.9, 10, 0)
 
     def test_overflowing_design_rejected_like_analytic_path(self):
         with pytest.raises(OverflowError):

@@ -270,6 +270,11 @@ class TestBalancedPartition:
         with pytest.raises(ValueError, match="nonempty"):
             balanced_partition(10, 11)
 
+    def test_more_batches_than_len_can_report_rejected(self):
+        # len() of 10**20 batches would raise OverflowError; refused by name
+        with pytest.raises(ValueError, match=f"at most {sys.maxsize} batches"):
+            balanced_partition(10**20, 10**20)
+
     @pytest.mark.parametrize("bad", (0, -1, 1.5, True))
     def test_group_count_validation(self, bad):
         with pytest.raises(ValueError):
