@@ -17,18 +17,24 @@ stream, and the draw for a given (seed, replication, batch) slot never
 depends on how many replications are requested by other callers.
 
 The stream is read in chunks of whole replications, about 2**15 words
-each, so memory is bounded by the chunk, not by replications x batches;
-Philox is counter-based, so consecutive reads yield one large read's
-words.  Totals are integers, so a BLAS row sum is exact in any order
-below 2**53; a chunk whose top total reaches it is summed in numpy's
-fixed order.  Exact integer sums of the totals and their squares give
-a correctly rounded mean and variance, independent of the chunking.
+each; Philox is counter-based, so consecutive reads yield one large
+read's words.  The chunks are split into contiguous spans, one per
+worker thread: as many workers as the CPUs the process may run on, at
+most _MAX_WORKERS and at most one per chunk.  Each worker keys its own
+generator by the seed and advances it to its span's first word, so
+memory is bounded by workers x chunk, not by replications x batches.
+Totals are integers, so a BLAS row sum is exact in any order below
+2**53; a chunk whose top total reaches it is summed in numpy's fixed
+order.  Exact integer sums of the totals and their squares give a
+correctly rounded mean and variance, independent of the chunking and
+of the number of workers.
 Past 2**53 the draws are rounded, and the report says so: exact=False.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,6 +54,10 @@ if TYPE_CHECKING:
 _CHUNK_WORDS = 1 << 15
 # float64 integers, and so the replication totals, are exact below this.
 _EXACT_LIMIT = 2.0**53
+# Threads reading the stream at once, at most.  Each holds its own chunk
+# arrays, so memory is bounded by workers x chunk: this cap keeps it to a
+# few MB on a many-core host, as on a small one.
+_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,47 @@ def _moments(total: int, square_total: int, count: int) -> tuple[float, float]:
     return mean, variance
 
 
+def _span_sums(key: np.uint64, divisor: np.ndarray, first: int, stop: int) -> tuple:
+    """(sum, sum of squares, top) of the totals of replications first..stop-1,
+    read with a generator of their own; the sums are void once top is inf."""
+    import numpy as np
+
+    rows_per_chunk, batches = divisor.shape
+    generator = np.random.Philox(key=key)
+    # advance counts blocks of four words; the rest are read and dropped
+    generator.advance(first * batches // 4)
+    generator.random_raw(first * batches % 4)
+    ones = np.ones(batches)
+    total = square_total = 0
+    top = 0.0
+    for start in range(first, stop, rows_per_chunk):
+        rows = min(rows_per_chunk, stop - start)
+        counts = _uniform_stream(generator, rows * batches).reshape(rows, batches)
+        np.log1p(counts, out=counts)
+        with np.errstate(over="ignore"):  # draws past double range are inf
+            counts /= divisor[:rows]
+        np.ceil(counts, out=counts)
+        np.maximum(counts, 1.0, out=counts)
+        # whole-number terms: any order sums them exactly below 2**53
+        totals = counts @ ones
+        if not float(totals.max()) < _EXACT_LIMIT:  # past it, a fixed order
+            totals = counts.sum(axis=1)
+        chunk_top = float(totals.max())
+        top = max(top, chunk_top)
+        if top < math.inf:
+            chunk_sum, chunk_squares = _integer_sums(totals, chunk_top)
+            total += chunk_sum
+            square_total += chunk_squares
+    return total, square_total, top
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on, at most _MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+    return min(os.cpu_count() or 1, _MAX_WORKERS)
+
+
 def simulate_design(
     partition: Partition | tuple[int, ...],
     q: float,
@@ -106,17 +157,20 @@ def simulate_design(
 ) -> SimulationReport:
     """Estimate a design's expected total tests by Monte Carlo.
 
-    Deterministic in (partition, q, replications, seed).  Raises the
-    same domain errors as the analytic path, q = 0 included, since a
-    design that cannot pass any test has no finite simulation either.
+    Deterministic in (partition, q, replications, seed), whatever the
+    number of CPUs.  Raises the same domain errors as the analytic path,
+    q = 0 included, since a design that cannot pass any test has no
+    finite simulation either.
     """
     part = as_partition(partition)
     replications = _check_int(replications, "replications", 1)
     seed = _check_int(seed, "seed")
     analytic = expected_waiting_time(part, q)
 
-    # numpy is imported here, not at module level, so that importing the
-    # package or starting the CLI skips it.
+    # numpy and threading are imported here, not at module level, so that
+    # importing the package or starting the CLI never needs them.
+    import threading
+
     import numpy as np
 
     batches = len(part)
@@ -126,27 +180,36 @@ def simulate_design(
     passes = [batch_pass_probability(n, q) for n in part]
     log_fail = [math.log1p(-p) if p < 1.0 else -math.inf for p in passes]
     divisor = np.tile(log_fail, (rows_per_chunk, 1))
-    generator = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    total = square_total = 0
-    top = 0.0
-    for start in range(0, replications, rows_per_chunk):
-        rows = min(rows_per_chunk, replications - start)
-        counts = _uniform_stream(generator, rows * batches).reshape(rows, batches)
-        np.log1p(counts, out=counts)
-        with np.errstate(over="ignore"):  # draws past double range are inf
-            counts /= divisor[:rows]
-        np.ceil(counts, out=counts)
-        np.maximum(counts, 1.0, out=counts)
-        # whole-number terms: any order sums them exactly below 2**53
-        totals = counts @ np.ones(batches)
-        if not float(totals.max()) < _EXACT_LIMIT:  # past it, a fixed order
-            totals = counts.sum(axis=1)
-        chunk_top = float(totals.max())
-        top = max(top, chunk_top)
-        if top < math.inf:
-            chunk_sum, chunk_squares = _integer_sums(totals, chunk_top)
-            total += chunk_sum
-            square_total += chunk_squares
+    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    # One contiguous span of whole chunks per worker; the calling thread
+    # runs the first.  The sums are exact integers, so the report does not
+    # depend on how the replications are split.
+    chunks = -(-replications // rows_per_chunk)
+    workers = min(_worker_count(), chunks)
+    bounds = [chunks * i // workers * rows_per_chunk for i in range(workers)] + [replications]
+    results: list = [None] * workers
+
+    def run_span(index: int) -> None:
+        try:
+            results[index] = _span_sums(key, divisor, bounds[index], bounds[index + 1])
+        except BaseException as error:  # raised again by the caller
+            results[index] = error
+
+    threads = []
+    try:
+        for index in range(1, workers):
+            thread = threading.Thread(target=run_span, args=(index,))
+            thread.start()
+            threads.append(thread)
+        results[0] = _span_sums(key, divisor, bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results[1:]:
+        if isinstance(result, BaseException):
+            raise result
+    sums, squares, tops = zip(*results)
+    total, square_total, top = sum(sums), sum(squares), max(tops)
 
     if top < math.inf:
         mean, variance = _moments(total, square_total, replications)

@@ -323,12 +323,12 @@ class TestOptimalConstantSize:
     def test_pick_holds_the_exact_optimum_of_the_float_q(self, p):
         # mu(n) >= mu(n +- 1) exactly when n <= 1 / (1 - q) <= n + 1, so
         # floor(1 / (1 - q)) in rational arithmetic is an optimal size.
-        # Each 1 / p here is an integer, so q = 1 - p is the tie
-        # n / (n + 1) with n = 1 / p - 1 and a tie is reported.  From
-        # p = 1e-8 on (n past about 3e7) adjacent ratios n / (n + 1) lie
-        # closer together than the 4-ulp tie band, so the reported pair
-        # may be off by one (99999998|99999999 at 1e-8); only membership
-        # of the exact optimum is asserted there.
+        # Each 1 / p here is an integer k, so q = 1 - p is the q derived
+        # from p = 1 / k and a tie is reported.  From p = 1e-8 on, q can no
+        # longer tell p from the doubles around it: 1 - 1e-8 is also the
+        # double nearest 99999998 / 99999999, so the pair reported is
+        # 99999998|99999999 where --p 1e-8 gives 99999999|100000000; only
+        # membership of the exact optimum is asserted there.
         q = 1.0 - p
         exact = math.floor(1 / (1 - Fraction(q)))
         pick = optimal_constant_size(q)
@@ -338,8 +338,9 @@ class TestOptimalConstantSize:
 
     @pytest.mark.parametrize("p", (3e-7, 7e-8, 6e-8, 4.5e-8, 3.5e-8))
     def test_no_false_tie_below_the_resolution_limit(self, p):
-        # 1 / p is no integer, so q = 1 - p is no n / (n + 1); with n*
-        # below about 3e7 the nearest ratio lies outside the tie band and
+        # 1 / p is no integer, and with n* below about 3e7 the ratios
+        # n / (n + 1) lie several ulps apart, so q = 1 - p is neither the
+        # double nearest one of them nor 1 - 1 / k: no tie is reported and
         # the pick is the exact optimum alone
         q = 1.0 - p
         exact = math.floor(1 / (1 - Fraction(q)))

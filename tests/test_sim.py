@@ -7,6 +7,8 @@ unchunked read of the documented pipeline fixes every draw bit for bit.
 
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -119,6 +121,130 @@ class TestChunking:
         totals = unchunked_totals(sizes, 0.99, reps, 9)
         assert totals.sum() < 2**53
         assert simulate_design(sizes, 0.99, reps, 9).mean_tests == float(totals.mean())
+
+
+class TestWorkers:
+    """Each worker reads a contiguous span of whole chunks from its own
+    generator; the exact integer sums make the split invisible."""
+
+    @pytest.mark.parametrize("chunk_words", (None, 7))
+    @pytest.mark.parametrize("sizes,q,reps,exact", CHUNK_CASES)
+    def test_worker_count_never_changes_the_report(
+        self, monkeypatch, sizes, q, reps, exact, chunk_words
+    ):
+        if chunk_words is not None:
+            monkeypatch.setattr(sim, "_CHUNK_WORDS", chunk_words)
+            reps = min(reps, 600)  # one replication per chunk is slow
+        rows_per_chunk = max(1, min(reps, sim._CHUNK_WORDS // len(sizes)))
+        chunks = -(-reps // rows_per_chunk)
+        spans = []
+        span_sums = sim._span_sums
+
+        def recorded(key, divisor, first, stop):
+            spans.append((first, stop))
+            return span_sums(key, divisor, first, stop)
+
+        monkeypatch.setattr(sim, "_span_sums", recorded)
+        totals = unchunked_totals(sizes, q, reps, 5)
+        reports = []
+        for workers in (1, 2, 3, 5):
+            spans.clear()
+            monkeypatch.setattr(sim, "_worker_count", lambda workers=workers: workers)
+            reports.append(simulate_design(sizes, q, reps, 5))
+            # whole chunks, one span per worker, covering every replication
+            assert len(spans) == min(workers, chunks)
+            bounds = sorted(spans)
+            assert [first for first, _ in bounds] == [0, *(stop for _, stop in bounds[:-1])]
+            assert bounds[-1][1] == reps
+            assert all(first % rows_per_chunk == 0 for first, _ in bounds)
+        assert reports == [reports[0]] * 4
+        assert (reports[0].mean_tests, reports[0].variance_tests) == exact_moments(totals)
+        assert reports[0].exact == exact
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # eight threads switching every microsecond still fill their own
+        # result slots: a lost or crossed update would change the sums
+        monkeypatch.setattr(sim, "_CHUNK_WORDS", 64)
+        monkeypatch.setattr(sim, "_worker_count", lambda: 1)
+        serial = simulate_design((3, 5, 40), 0.95, 20_000, 8)
+        monkeypatch.setattr(sim, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            reports = [simulate_design((3, 5, 40), 0.95, 20_000, 8) for _ in range(5)]
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [serial] * 5
+        assert elapsed < 60
+
+    @pytest.mark.parametrize(
+        "sizes,first",
+        [
+            pytest.param((3, 5, 8), 4, id="offset-0"),
+            pytest.param((3, 5, 8), 3, id="offset-1"),
+            pytest.param((3, 5, 8), 2, id="offset-2"),
+            pytest.param((3, 5, 8), 1, id="offset-3"),
+            pytest.param(WIDE, 1, id="wide-offset-2"),
+            pytest.param((3, 5, 8), 1001, id="far-offset-3"),
+        ],
+    )
+    def test_span_continues_the_serial_stream(self, sizes, first):
+        # the span starts at word first * J, at any offset within a
+        # four-word Philox block, and reads on across its chunks
+        stop = first + 40
+        totals = unchunked_totals(sizes, 0.9, stop, 11)[first:]
+        log_fail = [math.log1p(-batch_pass_probability(n, 0.9)) for n in sizes]
+        divisor = np.tile(log_fail, (3, 1))
+        ints = [int(t) for t in totals.tolist()]
+        expected = (sum(ints), sum(t * t for t in ints), float(max(ints)))
+        assert sim._span_sums(np.uint64(11), divisor, first, stop) == expected
+
+    @staticmethod
+    def slowed_stream(monkeypatch, failing_thread):
+        """Make the second read of failing_thread(ident) raise MemoryError,
+        and every other read slow, so the other spans are still reading."""
+        stream = sim._uniform_stream
+        reads = {}
+
+        def read(generator, count):
+            ident = threading.get_ident()
+            reads[ident] = reads.get(ident, 0) + 1
+            if failing_thread(ident) and reads[ident] == 2:
+                raise MemoryError("injected")
+            time.sleep(0.002)
+            return stream(generator, count)
+
+        monkeypatch.setattr(sim, "_uniform_stream", read)
+
+    @pytest.mark.parametrize("where", ("worker", "caller", "start"))
+    def test_a_failing_span_raises_in_the_caller(self, monkeypatch, capfd, where):
+        monkeypatch.setattr(sim, "_CHUNK_WORDS", 64)
+        monkeypatch.setattr(sim, "_worker_count", lambda: 3)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        caller = threading.get_ident()
+        if where == "start":  # the second worker thread cannot start
+            self.slowed_stream(monkeypatch, lambda ident: False)
+            start = threading.Thread.start
+            starts = []
+
+            def failing_start(thread):
+                starts.append(thread)
+                if len(starts) == 2:
+                    raise MemoryError("injected")
+                start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", failing_start)
+        else:  # mid-span, on its second read
+            self.slowed_stream(monkeypatch, lambda ident: (ident == caller) == (where == "caller"))
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="injected"):
+            simulate_design((3, 5), 0.9, 3_000, 1)
+        assert threading.active_count() == before
+        assert hooked == []
+        assert capfd.readouterr().err == ""
 
 
 class TestExactness:

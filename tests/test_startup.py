@@ -30,6 +30,10 @@ finally:
     sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n")
 """
 
+# Modules a process or thread pool would load; an import of either costs
+# start-up time (concurrent.futures pulls in logging).
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
 
 def run_fresh(*args):
     """Exit code, stdout, stderr and whether numpy was loaded."""
@@ -49,16 +53,36 @@ def test_import_skips_numpy(module):
         f"import sys, {module}\n"
         "print('numpy' in sys.modules)\n"
         "print(' '.join(m for m in sys.modules if m.startswith('pooldesign.')))\n"
+        f"print([m for m in {POOL_MODULES!r} if m in sys.modules])\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert done.returncode == 0, done.stderr
-    loaded, modules = done.stdout.splitlines()
+    loaded, modules, pools = done.stdout.splitlines()
     assert loaded == "False"
     # the numpy import moved, never a module: the CLI still loads them all
     assert {"pooldesign.core", "pooldesign.solvers", "pooldesign.sim"} <= set(modules.split())
+    # the simulator's worker threads add no import to start-up
+    assert pools == "[]"
+
+
+def test_simulate_loads_no_pool_module():
+    # the simulator runs its workers on plain threads, in every process
+    args = ["simulate", "--n", "250", "--p", "0.01", "--reps", "100000", "--format", "json"]
+    code = (
+        "import sys\n"
+        "from pooldesign.cli import main\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        f"print([m for m in {POOL_MODULES!r} if m in sys.modules], 'numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[] True"
 
 
 @pytest.mark.parametrize(

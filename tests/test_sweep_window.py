@@ -51,7 +51,7 @@ def reference_count(demand, q):
     So only counts priced within 5 ulps of the minimum can hold the
     least rounded cost, and only those within 2.5 ulps of the limit can
     fall on the other side of it: counts priced within NEAR of either
-    are re-priced exactly with Fraction.
+    are re-priced exactly, as one ratio of integers.
     """
     assert demand <= MAX_DEMAND
     inv = inverse_powers(q)
@@ -67,10 +67,15 @@ def reference_count(demand, q):
         )
 
     def exact(index):
-        count = int(index) + 1  # a numpy int would turn Fraction into float
+        # q**-n is num / den exactly and int / int is correctly rounded;
+        # a numpy int would overflow the products
+        count = int(index) + 1
         s, r = divmod(demand, count)
-        total = (count - r) * Fraction(inv[s])
-        return float(total + r * Fraction(inv[s + 1]) if r else total)
+        num, den = inv[s].as_integer_ratio()
+        if not r:
+            return count * num / den
+        num_up, den_up = inv[s + 1].as_integer_ratio()
+        return ((count - r) * num * den_up + r * num_up * den) / (den * den_up)
 
     near = NEAR * float(costs.min())
     best = min(map(exact, np.flatnonzero(costs <= costs.min() + near)))
