@@ -25,14 +25,10 @@ from .core import (
 )
 from .sim import SimulationReport, simulate_design, simulate_stream_rate
 from .solvers import (
-    BRUTE_FORCE_CAP,
     DesignSolution,
-    DpTable,
     balanced_partition,
     brute_force_solve,
-    build_dp_table,
     dp_solve,
-    integer_partitions,
     is_majorized_by,
     sweep_solve,
     theorem_solve,
@@ -43,10 +39,8 @@ __version__ = "0.1.0"
 __all__ = [
     "VALUE_ATOL",
     "VALUE_RTOL",
-    "BRUTE_FORCE_CAP",
     "ConstantSizeResult",
     "DesignSolution",
-    "DpTable",
     "Partition",
     "SimulationReport",
     "as_partition",
@@ -54,10 +48,8 @@ __all__ = [
     "batch_pass_probability",
     "batch_waiting_time",
     "brute_force_solve",
-    "build_dp_table",
     "dp_solve",
     "expected_waiting_time",
-    "integer_partitions",
     "is_majorized_by",
     "mu",
     "optimal_constant_size",

@@ -80,36 +80,28 @@ def _inverse_power_table(q: float, n_max: int) -> list[float]:
     return table
 
 
-@dataclass(frozen=True)
-class DpTable:
-    """Dynamic-programming table over demands 0..N, as read-only tuples.
-
-    values[n] is the optimal expected test count for demand n
-    (values[0] = 0); choices[n] is the size of one batch of the design
-    stored for demand n, alongside the one stored for demand
-    n - choices[n].  The stored design costs within the shared cost
-    tolerance of values[n], and among the choices that keep it there the
-    largest is stored.  At a real tie that choice leaves the smallest
-    demand, and the fewest batches an optimal design needs never grows
-    as the demand shrinks, so the stored design has the fewest batches
-    and, among those, the largest batch.  Just off a tie the stored
-    design may hold more batches than the fewest within the tolerance.
-    """
-
-    values: tuple[float, ...]
-    choices: tuple[int, ...]
-
-
 def _check_demand(demand: int) -> int:
     demand = _check_int(demand, "demand", 1)
-    if demand > sys.maxsize:  # before any table or tuple of N entries is built
+    if demand > sys.maxsize:  # before any table or list of N entries is built
         raise ValueError(f"demand {demand} exceeds {sys.maxsize}: its design could"
                          " need more batches than can be held")
     return demand
 
 
-def build_dp_table(demand: int, q: float) -> DpTable:
+def build_dp_table(demand: int, q: float) -> tuple[list[float], list[int]]:
     """Tabulate optimal costs for every demand up to the one given.
+
+    Returns the lists (values, choices) over demands 0..N.  values[n] is
+    the optimal expected test count for demand n (values[0] = 0);
+    choices[n] is the size of one batch of the design stored for demand
+    n, alongside the one stored for demand n - choices[n].  The stored
+    design costs within the shared cost tolerance of values[n], and among
+    the choices that keep it there the largest is stored.  At a real tie
+    that choice leaves the smallest demand, and the fewest batches an
+    optimal design needs never grows as the demand shrinks, so the stored
+    design has the fewest batches and, among those, the largest batch.
+    Just off a tie the stored design may hold more batches than the
+    fewest within the tolerance.
 
     Recursion: cost(0) = 0 and
     cost(n) = min over x in 1..n of q**-x + cost(n - x),
@@ -136,14 +128,15 @@ def build_dp_table(demand: int, q: float) -> DpTable:
     _check_q(q)
     inv = _inverse_power_table(q, demand)
     slack = 2 * (VALUE_ATOL + VALUE_RTOL * demand / q)
-    splits = (x for x in range(2, demand + 1) if inv[x] - inv[x // 2] - inv[x - x // 2] > slack)
-    band = next(splits, demand + 1) - 1
+    band = next((x for x in range(2, demand + 1)
+                 if inv[x] - inv[x // 2] - inv[x - x // 2] > slack), demand + 1) - 1
     descending = inv[band:0:-1]  # one batch of band, band - 1, ..., 1
     single = next((n for n in range(1, band + 1) if inv[n] >= 2.0), band + 1)
     # stored[n], the cost of the stored design, is held within one tolerance
     # of the exact minimum values[n], so inherited slack never adds up past it
     values = [0.0, *inv[1:single]]
     stored, choices = values.copy(), list(range(single))
+    del inv  # the rows read only descending: free the N + 1 powers before rows grow
     for n in range(single, demand + 1):
         # batch i has size width - i and leaves the demand low + i
         width = min(n, band)
@@ -160,22 +153,22 @@ def build_dp_table(demand: int, q: float) -> DpTable:
         values.append(best)
         stored.append(batch[i] + stored[low + i])
         choices.append(width - i)
-    return DpTable(tuple(values), tuple(choices))
+    return values, choices
 
 
-def _walk_choices(table: DpTable, demand: int) -> Partition:
-    sizes = []
+def _walk_choices(choices: list[int], demand: int) -> Partition:
+    counts = {}  # size -> batches; Partition sorts the runs
     while demand > 0:
-        sizes.append(table.choices[demand])
-        demand -= sizes[-1]
-    return as_partition(sizes)
+        counts[choices[demand]] = counts.get(choices[demand], 0) + 1
+        demand -= choices[demand]
+    return Partition(tuple(counts.items()))
 
 
 def _dp_solutions(demands: Sequence[int], q: float) -> list[DesignSolution]:
     """dp_solve per demand, walked from one table for the largest: choices[n] reads below n."""
     demands = [_check_demand(demand) for demand in demands]
-    table = build_dp_table(max(demands), q)
-    partitions = [_walk_choices(table, demand) for demand in demands]
+    _, choices = build_dp_table(max(demands), q)
+    partitions = [_walk_choices(choices, demand) for demand in demands]
     return [DesignSolution(p, expected_waiting_time(p, q), "dp") for p in partitions]
 
 

@@ -12,6 +12,7 @@ band keeps size 2 only because of the slack.
 """
 
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +79,10 @@ GRID = sorted(
 
 
 def assert_same_table(demand, q):
-    banded = build_dp_table(demand, q)
+    values, choices = build_dp_table(demand, q)
     full = reference_dp_table(demand, q)
-    assert [v.hex() for v in banded.values] == [float(v).hex() for v in full.values]
-    assert list(banded.choices) == full.choices.tolist()
+    assert [v.hex() for v in values] == [float(v).hex() for v in full.values]
+    assert list(choices) == full.choices.tolist()
 
 
 @pytest.mark.parametrize("q", GRID)
@@ -115,3 +116,17 @@ def test_dp_sweep_and_theorem_agree_at_scale(demand, q):
     design = dp_solve(demand, q)
     assert sweep_solve(demand, q).partition == design.partition
     assert theorem_solve(demand, q).partition == design.partition
+
+
+def test_table_memory_per_row():
+    # values, stored and choices take one entry per row; the q**-n table is
+    # freed once the band is cut, so it no longer adds to the peak
+    def peak(demand):
+        tracemalloc.start()
+        try:
+            dp_solve(demand, 0.5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(10_000) - peak(5000)) / 5000 <= 90

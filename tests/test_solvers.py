@@ -14,22 +14,25 @@ import numpy as np
 import pytest
 
 from pooldesign import (
-    BRUTE_FORCE_CAP,
     Partition,
     balanced_partition,
     batch_waiting_time,
     brute_force_solve,
-    build_dp_table,
     dp_solve,
     expected_waiting_time,
-    integer_partitions,
     is_majorized_by,
     sweep_solve,
     theorem_solve,
     values_close,
 )
 from pooldesign import solvers
-from pooldesign.solvers import _balanced_cost, _inverse_power_table
+from pooldesign.solvers import (
+    BRUTE_FORCE_CAP,
+    _balanced_cost,
+    _inverse_power_table,
+    build_dp_table,
+    integer_partitions,
+)
 
 Q_GRID = (0.3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99)
 SOLVERS = (dp_solve, sweep_solve, theorem_solve, brute_force_solve)
@@ -152,35 +155,28 @@ class TestBruteForce:
 
 class TestDpTable:
     def test_base_cases(self):
-        table = build_dp_table(1, 0.8)
-        assert table.values[0] == 0.0
+        values, choices = build_dp_table(1, 0.8)
+        assert values[0] == 0.0
         # one item needs one batch of one: 1/q tests, not 1
-        assert table.values[1] == 1.25
-        assert table.choices[1] == 1
+        assert values[1] == 1.25
+        assert choices[1] == 1
 
     def test_values_strictly_increase_below_one(self):
         for q in (0.3, 0.6, 0.9, 0.99):
-            values = build_dp_table(40, q).values
+            values, _ = build_dp_table(40, q)
             assert all(values[n] < values[n + 1] for n in range(40))
 
     def test_values_flat_at_q_one(self):
         # every batch passes immediately, so one batch covers any demand
-        values = build_dp_table(12, 1.0).values
+        values, _ = build_dp_table(12, 1.0)
         assert values[0] == 0.0
         assert all(v == 1.0 for v in values[1:])
 
     def test_tie_break_stores_largest_batch(self):
         # q = 1/2: batch costs 2, 4, 8, ... tie extensively; the
         # documented tie-break keeps the largest minimizing size
-        table = build_dp_table(4, 0.5)
-        assert list(table.choices[1:]) == [1, 2, 2, 2]
-
-    def test_tables_are_read_only(self):
-        table = build_dp_table(5, 0.9)
-        with pytest.raises(TypeError):
-            table.values[2] = 0.0
-        with pytest.raises(TypeError):
-            table.choices[2] = 1
+        _, choices = build_dp_table(4, 0.5)
+        assert list(choices[1:]) == [1, 2, 2, 2]
 
 
 class TestDpSolve:
@@ -551,8 +547,8 @@ class TestPowerTableConsistency:
     @pytest.mark.parametrize("q", Q_GRID)
     def test_dp_values_match_scalar_powers(self, q):
         # the table must track the scalar arithmetic closely
-        table = build_dp_table(1, q)
-        assert table.values[1] == pytest.approx(batch_waiting_time(1, q), rel=1e-13)
+        values, _ = build_dp_table(1, q)
+        assert values[1] == pytest.approx(batch_waiting_time(1, q), rel=1e-13)
         sol = dp_solve(64, q)
         assert sol.expected_tests == pytest.approx(
             sum(batch_waiting_time(n, q) for n in sol.partition.sizes), rel=1e-13
