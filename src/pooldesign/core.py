@@ -33,11 +33,14 @@ VALUE_ATOL = 1e-12
 VALUE_RTOL = 1e-12
 
 
+def _cost_limit(best: float) -> float:
+    """The largest cost within the shared design-cost tolerance of best."""
+    return best + VALUE_ATOL + VALUE_RTOL * abs(best)
+
+
 def values_close(a: float, b: float) -> bool:
     """True when a and b agree within the shared design-cost tolerance."""
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= VALUE_ATOL + VALUE_RTOL * max(abs(a), abs(b))
+    return a <= _cost_limit(b) and b <= _cost_limit(a)
 
 
 def _int_power(base: float, exponent: int) -> float:

@@ -42,12 +42,12 @@ from .core import (
     Partition,
     _check_int,
     _check_q,
+    _cost_limit,
     _int_power,
     _runs_cost,
     as_partition,
     expected_waiting_time,
     optimal_constant_size,
-    values_close,
 )
 
 # Partition counts grow super-polynomially (N = 50 already has ~200k),
@@ -145,7 +145,7 @@ def build_dp_table(demand: int, q: float) -> tuple[list[float], list[int]]:
         candidates = list(map(operator.add, batch, values[low:]))
         best = min(candidates)
         exact = candidates.index(best)
-        limit = best + VALUE_ATOL + VALUE_RTOL * best
+        limit = _cost_limit(best)
         # the first i within tolerance is the largest batch size; exact
         # is taken in case rounding pushes the minimum out
         costs = map(operator.add, batch, stored[low : low + exact])
@@ -215,7 +215,7 @@ def _fewest_count(demand: int, cost: Callable[[int], float], candidates: Iterabl
     """
     top = min(candidates, key=cost)
     best = cost(top)
-    limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
+    limit = _cost_limit(best)
     if math.isinf(limit):
         # even N singletons overflow; expected_waiting_time raises for them
         return demand
@@ -263,6 +263,7 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
     makes pairs, plus one single for odd N.
     """
     demand = _check_demand(demand)
+    _check_q(q)
     s = demand // optimal_constant_size(q).n_star_low
     candidates = (s, min(s + 1, demand)) if s else (1,)
     count = _fewest_count(demand, _balanced_cost(demand, q), candidates)
@@ -302,15 +303,15 @@ def brute_force_solve(demand: int, q: float) -> DesignSolution:
             total += inv[n]
         return total
 
-    # one walk: a partition within tolerance of the final least cost is
-    # within it of the least cost so far; of those, the fewest batches win
-    best, kept = math.inf, []
+    # one walk: the limit is monotone in the cost, so a partition within the
+    # final limit was within the limit so far; of those, the fewest batches win
+    limit, kept = math.inf, []
     for descending in integer_partitions(demand):
         total = cost(descending)
-        best = min(best, total)
-        if values_close(total, best):
+        limit = min(limit, _cost_limit(total))
+        if total <= limit:
             kept.append((total, descending))
-    _, ascending = min((len(d), d[::-1]) for total, d in kept if values_close(total, best))
+    _, ascending = min((len(d), d[::-1]) for total, d in kept if total <= limit)
     partition = as_partition(ascending)
     return DesignSolution(partition, expected_waiting_time(partition, q), "brute")
 

@@ -266,10 +266,18 @@ class TestValuesClose:
 
     def test_clear_gap(self):
         assert not values_close(1.0, 1.001)
+        # NaN is apart from everything, itself included, in either order
+        assert not values_close(1.0, math.nan)
+        assert not values_close(math.nan, 1.0)
+        assert not values_close(math.inf, math.nan)
+        assert not values_close(math.nan, math.inf)
+        assert not values_close(math.nan, math.nan)
 
     def test_infinity_is_close_only_to_itself(self):
         assert not values_close(math.inf, 1.0)
+        assert not values_close(1.0, math.inf)
         assert not values_close(1e308, math.inf)
+        assert not values_close(math.inf, 1e308)
         assert values_close(math.inf, math.inf)
 
 

@@ -228,9 +228,10 @@ class TestDpSolve:
         with pytest.raises(ValueError):
             dp_solve(bad, 0.9)
 
-    def test_q_zero_rejected(self):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_q_zero_rejected(self, solver):
         with pytest.raises(ValueError, match="q = 0"):
-            dp_solve(5, 0.0)
+            solver(5, 0.0)
 
 
 # ---------------------------------------------------------------------------

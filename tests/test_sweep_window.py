@@ -79,7 +79,7 @@ def reference_count(demand, q):
 
     near = NEAR * float(costs.min())
     best = min(map(exact, np.flatnonzero(costs <= costs.min() + near)))
-    limit = best + (VALUE_ATOL + VALUE_RTOL * abs(best))
+    limit = best + VALUE_ATOL + VALUE_RTOL * abs(best)
     sure = np.flatnonzero(costs < limit - near)[0]
     edge = np.flatnonzero(costs[:sure] <= limit + near)
     return int(next((i for i in edge if exact(i) <= limit), sure)) + 1
