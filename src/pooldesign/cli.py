@@ -19,9 +19,9 @@ import click
 
 from .core import _constant_sizes, as_partition
 from .sim import simulate_design
-from .solvers import SOLVERS, _check_demand, _dp_solutions
+from .solvers import SOLVERS, _check_brute_demand, _check_demand, _dp_solutions
 
-CSV_HEADER = ["N", "p", "method", "partition", "expected_tests", "n_star"]
+CSV_HEADER = "N,p,method,partition,expected_tests,n_star\n"
 
 
 def _split_commas(value: str, item: str) -> list[str]:
@@ -90,8 +90,8 @@ def _n_star_cell(low: int | None, high: int | None) -> str:
     return str(low)
 
 
-def _partition_cell(sizes: tuple[int, ...] | list[int]) -> str:
-    return "|".join(str(n) for n in sizes)
+def _partition_cell(runs) -> str:
+    return "|".join("|".join([str(size)] * count) for size, count in runs)
 
 
 def _design_row(demand: int, p: float, method: str, solution, low, high) -> dict:
@@ -99,24 +99,19 @@ def _design_row(demand: int, p: float, method: str, solution, low, high) -> dict
         "n": demand,
         "p": p,
         "method": method,
-        "partition": list(solution.partition.sizes),
+        "partition": list(solution.partition),
         "expected_tests": solution.expected_tests,
         "n_star": low,
         "n_star_tie": high,
     }
 
 
-def _echo_design_csv(rows: list[dict]) -> None:
+def _csv_line(demand: int, p: float, method: str, solution, low, high) -> str:
     # No cell needs quoting: they are ints, float reprs (str of a float is
-    # its repr), a method name and "|"-joined ints, so none can hold a
-    # comma, quote or newline.
-    lines = [",".join(CSV_HEADER)]
-    for row in rows:
-        partition = _partition_cell(row["partition"])
-        star = _n_star_cell(row["n_star"], row["n_star_tie"])
-        cells = (row["n"], row["p"], row["method"], partition, row["expected_tests"], star)
-        lines.append(",".join(map(str, cells)))
-    click.echo("\n".join(lines))
+    # its repr), a method name and "|"-joined ints.
+    partition = _partition_cell(solution.partition.runs)
+    cells = (demand, p, method, partition, solution.expected_tests, _n_star_cell(low, high))
+    return ",".join(map(str, cells)) + "\n"
 
 
 _p_option = click.option(
@@ -163,16 +158,15 @@ def cmd_solve(demand: int, p: float, method: str, fmt: str):
     except (ValueError, OverflowError) as exc:
         _domain_error(exc)
     low, high = _constant_sizes(p)
-    row = _design_row(demand, p, method, solution, low, high)
     if fmt == "json":
-        click.echo(json.dumps(row, indent=2))
+        click.echo(json.dumps(_design_row(demand, p, method, solution, low, high), indent=2))
     elif fmt == "csv":
-        _echo_design_csv([row])
+        sys.stdout.write(CSV_HEADER + _csv_line(demand, p, method, solution, low, high))
     else:
         click.echo(f"demand:           {demand}")
         click.echo(f"defect rate p:    {p}")
         click.echo(f"method:           {method}")
-        click.echo(f"batches:          {_partition_cell(solution.partition.sizes)}")
+        click.echo(f"batches:          {_partition_cell(solution.partition.runs)}")
         click.echo(f"expected tests:   {solution.expected_tests:.6f}")
         click.echo(f"constant optimum: {_n_star_cell(low, high) or 'n/a'}")
 
@@ -212,7 +206,7 @@ def cmd_simulate(demand, sizes, p, method, reps, seed, fmt):
         )
     if fmt == "json":
         payload = {
-            "sizes": list(part.sizes),
+            "sizes": list(part),
             "p": p,
             "method": method,
             "replications": report.replications,
@@ -225,7 +219,7 @@ def cmd_simulate(demand, sizes, p, method, reps, seed, fmt):
         }
         click.echo(json.dumps(payload, indent=2))
     else:
-        click.echo(f"batches:          {_partition_cell(part.sizes)}")
+        click.echo(f"batches:          {_partition_cell(part.runs)}")
         click.echo(f"defect rate p:    {p}")
         click.echo(f"method:           {method or 'n/a'}")
         click.echo(f"replications:     {report.replications}")
@@ -255,23 +249,29 @@ def cmd_simulate(demand, sizes, p, method, reps, seed, fmt):
 @_format_option("csv", "json")
 def cmd_table(demands, probabilities, method: str, fmt: str):
     """Design table over a demand grid and a list of defect rates."""
-    rows = []
+    lead = "[\n  " if fmt == "json" else CSV_HEADER  # goes out with the first row
     try:
-        _check_demand(demands[-1])  # the largest, before a range past sys.maxsize is walked
+        # the largest demand, before a range past sys.maxsize is walked or any row is written
+        (_check_brute_demand if method == "brute" else _check_demand)(demands[-1])
         for p in sorted(probabilities):
             q = 1.0 - p
             low, high = _constant_sizes(p)
             if method == "dp":  # one table serves every demand
                 solutions = _dp_solutions(demands, q)
             else:
-                solutions = [SOLVERS[method](demand, q) for demand in demands]
-            rows += [_design_row(d, p, method, s, low, high) for d, s in zip(demands, solutions)]
+                solutions = (SOLVERS[method](demand, q) for demand in demands)
+            for demand, solution in zip(demands, solutions):
+                design = (demand, p, method, solution, low, high)
+                if fmt == "csv":
+                    sys.stdout.write(lead + _csv_line(*design))
+                else:  # indented as json.dumps indents a list of the rows
+                    row = json.dumps(_design_row(*design), indent=2).replace("\n", "\n  ")
+                    sys.stdout.write(lead + row)
+                lead = "" if fmt == "csv" else ",\n  "
     except (ValueError, OverflowError) as exc:
         _domain_error(exc)
     if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
-    else:
-        _echo_design_csv(rows)
+        sys.stdout.write("\n]\n")
 
 
 if __name__ == "__main__":

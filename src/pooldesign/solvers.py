@@ -285,16 +285,20 @@ def integer_partitions(total: int, max_part: int | None = None) -> Iterator[tupl
             yield (first, *rest)
 
 
+def _check_brute_demand(demand: int) -> int:
+    if (demand := _check_demand(demand)) > BRUTE_FORCE_CAP:
+        raise ValueError(f"demand {demand} exceeds the exhaustive-search cap {BRUTE_FORCE_CAP}")
+    return demand
+
+
 def brute_force_solve(demand: int, q: float) -> DesignSolution:
     """Exact optimum by enumerating every partition of the demand.
 
     Ground truth for the fast solvers; refuses demands above
     BRUTE_FORCE_CAP because the partition count explodes.
     """
-    demand = _check_demand(demand)
+    demand = _check_brute_demand(demand)
     _check_q(q)
-    if demand > BRUTE_FORCE_CAP:
-        raise ValueError(f"demand {demand} exceeds the exhaustive-search cap {BRUTE_FORCE_CAP}")
     inv = _inverse_power_table(q, demand)
 
     def cost(descending: tuple[int, ...]) -> float:

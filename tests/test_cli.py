@@ -365,7 +365,12 @@ class TestCsvParses:
     def read_back(self, runner, *args):
         """The csv output as csv.reader reads it, and the cells its json output implies."""
         parsed = list(csv.reader(invoke(runner, *args, "--format", "csv").output.splitlines()))
-        rows = json.loads(invoke(runner, *args, "--format", "json").output)
+        out = invoke(runner, *args, "--format", "json").output
+        rows = json.loads(out)
+        # a table writes its rows one by one; the bytes stay json.dumps's
+        # (compared as lines, so that a failure reports the first that differs)
+        expected = json.dumps(rows, indent=2) + "\n"
+        assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
         rows = [rows] if args[0] == "solve" else rows
         return parsed, [CSV_HEADER.split(",")] + [csv_cells(row) for row in rows]
 
@@ -432,12 +437,17 @@ class TestExitCodes:
             (("solve", "--n", "51", "--p", "0.1", "--method", "brute"), "cap"),
             (("simulate", "--sizes", "3", "--p", "0.1", "--reps", "0"), "at least 1"),
             (("simulate", "--sizes", "2,600", "--p", "0.7"), "double precision"),
+            # a table writes rows as it solves them, so brute's cap is checked
+            # before the first; p = 0 sorts first, so theorem fails on row one
+            (("table", "--n-range", "1:60", "--p-list", "0.1", "--method", "brute"), "cap"),
+            (("table", "--n-range", "1:3", "--p-list", "0,0.1", "--method", "theorem"), "(0, 1)"),
         ],
     )
     def test_domain_errors_exit_3_with_reason(self, runner, args, needle):
         result = invoke(runner, *args)
         assert result.exit_code == 3
         assert needle in result.stderr
+        assert result.stdout == ""
 
     @pytest.mark.parametrize(
         "args",

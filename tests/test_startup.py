@@ -5,6 +5,10 @@ numpy.  Importing the package, starting the CLI, help, flag and domain
 errors, and `solve` and `table` with every solver run without it.
 pytest has already imported numpy, so every case runs in its own
 `python -m pooldesign` process and reports `sys.modules` at exit.
+
+The last test also runs fresh processes, to read each one's peak
+resident memory from `os.wait4`: a table's must follow one row, not
+the whole table.
 """
 
 import os
@@ -142,3 +146,36 @@ def test_array_paths_load_numpy_and_match_in_process_output(args):
     result = CliRunner().invoke(main, list(args))
     assert result.exit_code == 0
     assert stdout == result.stdout
+
+
+# Runs `python -m pooldesign ARGS...` with stdout discarded, then prints its
+# exit code and peak RSS in kB.  A child's peak counts the memory its spawner
+# held when it spawned it, so the child is spawned from this small fresh
+# interpreter, never from pytest.
+PEAK_RSS = """\
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "pooldesign", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def peak_rss_kb(*args):
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    code, kb = map(int, done.stdout.split())
+    assert code == 0, (args, done.stderr)
+    return kb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
+def test_table_memory_follows_one_row():
+    # 20,000 theorem rows make 8 MB of csv; a table written row by row
+    # peaks where one small solve does, not at a multiple of its output
+    baseline = peak_rss_kb("solve", "--n", "250", "--p", "0.01")
+    table = peak_rss_kb("table", "--n-range", "1:20000", "--p-list", "0.01", "--method", "theorem")
+    assert table - baseline <= 4 * 1024, (table, baseline)
