@@ -5,7 +5,7 @@ be partitioned into batch sizes summing to N, and the design cost is
 the sum of q**-n over its batches.  The package ships four solvers
 with identical answers and very different costs:
 
-  dp       exact, O(N^2): table over every sub-demand
+  dp       exact, O(N*b): table over every sub-demand, batches up to the band b
   sweep    exact, ternary search over balanced candidates, one per count
   theorem  closed form built from the constant-size optimum
   brute    every integer partition; ground truth for small N

@@ -19,7 +19,7 @@ import click
 
 from .core import _constant_sizes, as_partition
 from .sim import simulate_design
-from .solvers import SOLVERS, _check_brute_demand, _check_demand, _dp_solutions
+from .solvers import SOLVERS, _solve_range
 
 CSV_HEADER = "N,p,method,partition,expected_tests,n_star\n"
 
@@ -251,16 +251,9 @@ def cmd_table(demands, probabilities, method: str, fmt: str):
     """Design table over a demand grid and a list of defect rates."""
     lead = "[\n  " if fmt == "json" else CSV_HEADER  # goes out with the first row
     try:
-        # the largest demand, before a range past sys.maxsize is walked or any row is written
-        (_check_brute_demand if method == "brute" else _check_demand)(demands[-1])
         for p in sorted(probabilities):
-            q = 1.0 - p
             low, high = _constant_sizes(p)
-            if method == "dp":  # one table serves every demand
-                solutions = _dp_solutions(demands, q)
-            else:
-                solutions = (SOLVERS[method](demand, q) for demand in demands)
-            for demand, solution in zip(demands, solutions):
+            for demand, solution in zip(demands, _solve_range(method, demands, 1.0 - p)):
                 design = (demand, p, method, solution, low, high)
                 if fmt == "csv":
                     sys.stdout.write(lead + _csv_line(*design))

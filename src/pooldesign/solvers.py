@@ -33,12 +33,10 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    VALUE_ATOL,
-    VALUE_RTOL,
     Partition,
     _check_int,
     _check_q,
@@ -127,7 +125,7 @@ def build_dp_table(demand: int, q: float) -> tuple[list[float], list[int]]:
     demand = _check_demand(demand)
     _check_q(q)
     inv = _inverse_power_table(q, demand)
-    slack = 2 * (VALUE_ATOL + VALUE_RTOL * demand / q)
+    slack = 2 * (_cost_limit(demand / q) - demand / q)
     band = next((x for x in range(2, demand + 1)
                  if inv[x] - inv[x // 2] - inv[x - x // 2] > slack), demand + 1) - 1
     descending = inv[band:0:-1]  # one batch of band, band - 1, ..., 1
@@ -164,17 +162,24 @@ def _walk_choices(choices: list[int], demand: int) -> Partition:
     return Partition(tuple(counts.items()))
 
 
-def _dp_solutions(demands: Sequence[int], q: float) -> list[DesignSolution]:
-    """dp_solve per demand, walked from one table for the largest: choices[n] reads below n."""
-    demands = [_check_demand(demand) for demand in demands]
-    _, choices = build_dp_table(max(demands), q)
-    partitions = [_walk_choices(choices, demand) for demand in demands]
-    return [DesignSolution(p, expected_waiting_time(p, q), "dp") for p in partitions]
+def _solve_range(method: str, demands: Sequence[int], q: float) -> Iterator[DesignSolution]:
+    """Each solution of an ascending demand range, solved as it is consumed.
+
+    The largest demand is checked first, with brute force's cap.  dp walks
+    every demand from one table for the largest: choices[n] reads below n.
+    """
+    (_check_brute_demand if method == "brute" else _check_demand)(demands[-1])
+    if method != "dp":
+        return map(SOLVERS[method], demands, repeat(q))
+    _check_demand(demands[0])
+    _, choices = build_dp_table(demands[-1], q)
+    partitions = (_walk_choices(choices, demand) for demand in demands)
+    return (DesignSolution(p, expected_waiting_time(p, q), "dp") for p in partitions)
 
 
 def dp_solve(demand: int, q: float) -> DesignSolution:
     """Exact optimum by dynamic programming over the demand."""
-    return _dp_solutions((demand,), q)[0]
+    return next(_solve_range("dp", (demand,), q))
 
 
 def balanced_partition(demand: int, groups: int) -> Partition:

@@ -441,6 +441,9 @@ class TestExitCodes:
             # before the first; p = 0 sorts first, so theorem fails on row one
             (("table", "--n-range", "1:60", "--p-list", "0.1", "--method", "brute"), "cap"),
             (("table", "--n-range", "1:3", "--p-list", "0,0.1", "--method", "theorem"), "(0, 1)"),
+            # dp checks the smallest demand before it builds the table for the largest
+            *((("table", "--n-range", "0:5", "--p-list", "0.1", "--method", m), "at least 1")
+              for m in ("dp", "sweep")),
         ],
     )
     def test_domain_errors_exit_3_with_reason(self, runner, args, needle):
@@ -491,7 +494,7 @@ class TestExitCodes:
         def no_solve(*args):
             raise AssertionError("a row was solved")
 
-        monkeypatch.setattr(cli, "_dp_solutions", no_solve)
+        monkeypatch.setattr(solvers, "build_dp_table", no_solve)
         monkeypatch.setitem(cli.SOLVERS, method, no_solve)
         result = invoke(runner, "table", "--n-range", n_range, "--p-list", "0.1", "--method", method)
         assert result.exit_code == 3

@@ -21,8 +21,8 @@ import pytest
 from pooldesign import sweep_solve, theorem_solve
 from pooldesign.core import VALUE_ATOL, VALUE_RTOL, _check_int, _check_q
 from pooldesign.solvers import (
-    _dp_solutions,
     _inverse_power_table,
+    _solve_range,
     build_dp_table,
     dp_solve,
 )
@@ -102,13 +102,13 @@ def test_one_table_gives_each_demand_its_own_solution(seed):
     rng = random.Random(seed)
     q = rng.choice((0.5, 0.7, 0.9, 0.99, 0.999, 2 / 3 + 1e-15, 0.75 - 1e-12, 1.0))
     demands = sorted(rng.sample(range(1, 700), rng.randint(1, 12)))
-    solutions = _dp_solutions(demands, q)
-    assert solutions == [dp_solve(demand, q) for demand in demands]
+    solutions = _solve_range("dp", demands, q)
+    assert list(solutions) == [dp_solve(demand, q) for demand in demands]
 
 
 def test_one_table_checks_every_demand():
     with pytest.raises(ValueError, match="demand must be at least 1, got 0"):
-        _dp_solutions([5, 0, 9], 0.9)
+        _solve_range("dp", range(0, 10, 5), 0.9)
 
 
 @pytest.mark.parametrize("demand,q", ((100_000, 0.99), (1500, 0.5), (20_000, 1 - 1e-7)))

@@ -8,7 +8,7 @@ pytest has already imported numpy, so every case runs in its own
 
 The last test also runs fresh processes, to read each one's peak
 resident memory from `os.wait4`: a table's must follow one row, not
-the whole table.
+the whole table, for theorem and for dp.
 """
 
 import os
@@ -173,9 +173,11 @@ def peak_rss_kb(*args):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
-def test_table_memory_follows_one_row():
-    # 20,000 theorem rows make 8 MB of csv; a table written row by row
-    # peaks where one small solve does, not at a multiple of its output
+@pytest.mark.parametrize("method", ("theorem", "dp"))
+def test_table_memory_follows_one_row(method):
+    # 20,000 rows make 8 MB of csv; a table written row by row peaks where
+    # one small solve does, not at a multiple of its output.  dp adds one
+    # table's O(N) lists and walks each row from it as the row is written
     baseline = peak_rss_kb("solve", "--n", "250", "--p", "0.01")
-    table = peak_rss_kb("table", "--n-range", "1:20000", "--p-list", "0.01", "--method", "theorem")
+    table = peak_rss_kb("table", "--n-range", "1:20000", "--p-list", "0.01", "--method", method)
     assert table - baseline <= 4 * 1024, (table, baseline)

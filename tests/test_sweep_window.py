@@ -37,10 +37,22 @@ MAX_DEMAND = 8000
 NEAR = 2e-15
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def inverse_powers(q):
     """q**-n for n = 0..MAX_DEMAND, bit for bit the values sweep prices with."""
     return np.array(_inverse_power_table(q, MAX_DEMAND))
+
+
+@lru_cache(maxsize=1)
+def demand_arrays(demand):
+    """Per count I = 1..N, with N = s * I + r: I - r, s, r, and s + 1 where r > 0.
+
+    Where r = 0 the last is 0, so that batch term is 0 * q**-0 = 0, where
+    q**-(s + 1) could be inf and 0 * inf is nan.
+    """
+    counts = np.arange(1, demand + 1)
+    small, bumped = np.divmod(demand, counts)
+    return counts - bumped, small, bumped, np.where(bumped > 0, small + 1, 0)
 
 
 def reference_count(demand, q):
@@ -55,16 +67,9 @@ def reference_count(demand, q):
     """
     assert demand <= MAX_DEMAND
     inv = inverse_powers(q)
-    counts = np.arange(1, demand + 1)
-    small = demand // counts
-    bumped = demand - small * counts
-    large = np.minimum(small + 1, demand)  # unused when bumped == 0
+    rest, small, bumped, large = demand_arrays(demand)
     with np.errstate(over="ignore"):  # an inf cost is never the minimum
-        costs = (counts - bumped) * inv[small]
-        # where bumped == 0, inv[large] may be inf and 0 * inf is nan
-        costs += np.multiply(
-            bumped, inv[large], out=np.zeros(demand), where=bumped > 0
-        )
+        costs = rest * inv[small] + bumped * inv[large]
 
     def exact(index):
         # q**-n is num / den exactly and int / int is correctly rounded;
@@ -121,13 +126,16 @@ def demand_grid(rng):
 def test_sweep_picks_the_reference_count():
     rng = random.Random(20171208)
     start = time.perf_counter()
-    pairs = 0
-    for q in q_grid(rng):
-        for demand in demand_grid(rng):
+    # each q draws its own demands; taken demand by demand, the pairs
+    # build each demand's count arrays once and each q's powers once
+    pairs = sorted((demand, q) for q in q_grid(rng) for demand in demand_grid(rng))
+    try:
+        for demand, q in pairs:
             got = len(sweep_solve(demand, q).partition)
             assert got == reference_count(demand, q), (demand, q)
-            pairs += 1
-    assert pairs >= 20_000
+    finally:
+        inverse_powers.cache_clear()  # about 27 MB of powers for some 430 q
+    assert len(pairs) >= 20_000
     assert time.perf_counter() - start < 10
 
 
