@@ -10,8 +10,8 @@ sum of q**-n_i over batch sizes n_i summing to N:
   differing by at most one) is optimal, and that design's cost is
   convex in the batch count.  It prices O(log N) counts, in plain Python,
   and builds the design as one or two (size, count) runs in O(1).
-- theorem_solve: closed-form candidate counts from the constant-size
-  optimum, then sweep's fewest-count bisection; valid for 0 < q < 1.
+- theorem_solve: sweep's search on the closed-form bracket of two counts
+  from the constant-size optimum; valid for 0 < q < 1.
 - brute_force_solve: enumerates every integer partition of the demand.
   Exponentially slow, kept as ground truth for small N.
 
@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     Partition,
@@ -210,34 +210,21 @@ def _balanced_cost(demand: int, q: float) -> Callable[[int], float]:
     return cost
 
 
-def _fewest_count(demand: int, cost: Callable[[int], float], candidates: Iterable[int]) -> int:
+def _sweep_count(demand: int, q: float, lo: int = 1, hi: int = sys.maxsize) -> int:
     """The fewest batches whose balanced split costs within tolerance of the best count's.
 
-    The candidates must hold a count of least cost.  The cost is convex in
-    the count, so the counts within tolerance of the cheapest candidate,
-    top, run from the fewest such count up to top, and bisecting [1, top]
-    finds it.
-    """
-    top = min(candidates, key=cost)
-    best = cost(top)
-    limit = _cost_limit(best)
-    if math.isinf(limit):
-        # even N singletons overflow; expected_waiting_time raises for them
-        return demand
-    return bisect.bisect_left(range(1, top + 1), True, key=lambda i: cost(i) <= limit) + 1
-
-
-def _sweep_count(demand: int, q: float) -> int:
-    """The fewest batches whose balanced split costs within tolerance of the best count's.
-
-    Count I costs I * G(N / I), with G interpolating q**-n linearly between
-    integers, so the cost is convex in I.  Ternary search finds the best
-    count: probes a third of the range apart misplace it by no more than a
-    cost difference lost to rounding, where adjacent probes on a near-flat
-    slope could stray by many tolerances.
+    [lo, hi], clamped to [1, N], must hold a count of least cost; sweep
+    passes every count, so it rests on no closed form.  Count I costs
+    I * G(N / I), with G interpolating q**-n linearly between integers, so
+    the cost is convex in I.  Ternary search narrows the bracket to the
+    cheapest count, top: probes a third of the range apart misplace it by
+    no more than a cost difference lost to rounding, where adjacent probes
+    on a near-flat slope could stray by many tolerances.  The counts
+    within tolerance of top's cost run from the fewest such count up to
+    top, and bisecting [1, top] finds it.
     """
     cost = _balanced_cost(demand, q)
-    lo, hi = 1, demand
+    lo, hi = max(lo, 1), min(hi, demand)
     while hi - lo > 2:
         third = (hi - lo) // 3
         # an inf cost lies left of the best, and inf >= inf
@@ -245,7 +232,12 @@ def _sweep_count(demand: int, q: float) -> int:
             lo += third + 1
         else:
             hi -= third + 1
-    return _fewest_count(demand, cost, range(lo, hi + 1))
+    top = min(range(lo, hi + 1), key=cost)
+    limit = _cost_limit(cost(top))
+    if math.isinf(limit):
+        # even N singletons overflow; expected_waiting_time raises for them
+        return demand
+    return bisect.bisect_left(range(1, top + 1), True, key=lambda i: cost(i) <= limit) + 1
 
 
 def sweep_solve(demand: int, q: float) -> DesignSolution:
@@ -261,18 +253,15 @@ def theorem_solve(demand: int, q: float) -> DesignSolution:
 
     Let n* be the constant-size optimum (1 for q < 1/2, where singleton
     batches are optimal) and s = floor(N / n*).  The best balanced split
-    uses s or s + 1 batches (at most N), or one batch when the demand is
-    below n*.  The cheaper of those candidates then goes through the
-    fewest-count bisection that sweep_solve shares (see _fewest_count),
-    so the fewest batches within tolerance of it win: at q = 1/2 that
-    makes pairs, plus one single for odd N.
+    uses s or s + 1 batches, so theorem is sweep's search on the
+    closed-form bracket [s, s + 1], clamped to [1, N]: the fewest batches
+    within tolerance of the cheaper count win, which at q = 1/2 makes
+    pairs, plus one single for odd N.
     """
     demand = _check_demand(demand)
     _check_q(q)
     s = demand // optimal_constant_size(q).n_star_low
-    candidates = (s, min(s + 1, demand)) if s else (1,)
-    count = _fewest_count(demand, _balanced_cost(demand, q), candidates)
-    partition = balanced_partition(demand, count)
+    partition = balanced_partition(demand, _sweep_count(demand, q, s, s + 1))
     return DesignSolution(partition, expected_waiting_time(partition, q), "theorem")
 
 
