@@ -10,8 +10,6 @@ Monte Carlo simulation.
 """
 
 from .core import (
-    VALUE_ATOL,
-    VALUE_RTOL,
     ConstantSizeResult,
     Partition,
     as_partition,
@@ -37,8 +35,6 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "VALUE_ATOL",
-    "VALUE_RTOL",
     "ConstantSizeResult",
     "DesignSolution",
     "Partition",

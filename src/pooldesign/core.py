@@ -9,11 +9,12 @@ tests spent per accepted batch is geometric with mean q**-n.
 
 A design that needs N accepted items splits N into batch sizes
 n_1 + ... + n_I = N and pays an expected q**-n_1 + ... + q**-n_I tests.
-This module provides the per-batch arithmetic, the value types shared by
-the solvers (Partition holds a design as (size, count) runs, so the work
-on a balanced one does not grow with I), and the optimal batch size when
-every batch must have the same size, decided exactly from the defect
-probability p = 1 - q.
+This module owns every price of a batch (q**n, q**-n, the solvers' power
+table and balanced-split cost, a design's sum rounded once), the value
+types shared by the solvers (Partition holds a design as (size, count)
+runs, so the work on a balanced one does not grow with I), and the
+optimal batch size when every batch must have the same size, decided
+exactly from the defect probability p = 1 - q.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, repeat
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # Absolute/relative tolerances for comparing candidate design costs:
 # well above double rounding noise and well below any real gap between
@@ -56,6 +58,22 @@ def _int_power(base: float, exponent: int) -> float:
         if e == 0:
             return result
         b *= b
+
+
+def _inverse_power_table(q: float, n_max: int) -> list[float]:
+    """List t with t[n] = q**-n for n = 0..n_max, as Python floats.
+
+    Each entry is the product _int_power forms, t[n - top] * (1/q)**top
+    with top the largest power of two <= n, so it is bit for bit the
+    value expected_waiting_time sums, or inf past double range.  No
+    search picks an inf batch: singletons cost a finite N / q.
+    """
+    table = [1.0]
+    power = 1.0 / q  # (1/q)**len(table) while len(table) is a power of two
+    while len(table) <= n_max:
+        table += [t * power for t in table[: n_max + 1 - len(table)]]
+        power *= power
+    return table
 
 
 def _check_int(value: int, name: str, minimum: int | None = None) -> int:
@@ -103,9 +121,8 @@ def batch_waiting_time(n: int, q: float) -> float:
 
 def mu(n: int, q: float) -> float:
     """Expected items accepted per test, n * q**n, for batches of size n."""
-    n = _check_int(n, "batch size", 1)
-    _check_q(q)
-    return n * _int_power(q, n)
+    # checked first; index() keeps the product a Python float for a numpy n
+    return batch_pass_probability(n, q) * operator.index(n)
 
 
 def per_item_cost(n: int, q: float) -> float:
@@ -172,6 +189,19 @@ def _runs_cost(runs: Iterable[tuple[float, int]]) -> float:
         return total / scale
     except OverflowError:  # from an inf cost or a sum past double range
         return math.inf
+
+
+def _balanced_cost(demand: int, q: float) -> Callable[[int], float]:
+    """Count I's balanced-split cost (I - r) * q**-floor(N/I) + r * q**-ceil(N/I),
+    r = N mod I, rounded once by _runs_cost as expected_waiting_time rounds it.
+    """
+    power = cache(partial(_int_power, 1.0 / q))
+
+    def cost(count: int) -> float:
+        small, bumped = divmod(demand, count)
+        return _runs_cost(((power(small), count - bumped), (power(small + 1), bumped)))
+
+    return cost
 
 
 def expected_waiting_time(partition: Partition | Iterable[int], q: float) -> float:

@@ -175,11 +175,13 @@ def simulate_design(
 
     batches = len(part)
     rows_per_chunk = max(1, min(replications, _CHUNK_WORDS // batches))
-    # log1p(-p) per batch (-inf when it always passes, so its draws clamp to
-    # one test), one row per replication so that the divide runs flat
-    passes = [batch_pass_probability(n, q) for n in part]
+    # log1p(-p) once per run (-inf when it always passes, so its draws clamp
+    # to one test), repeated over its batches in iteration order, one row
+    # per replication so that the divide runs flat
+    sizes, counts = zip(*part.runs)
+    passes = [batch_pass_probability(n, q) for n in sizes]
     log_fail = [math.log1p(-p) if p < 1.0 else -math.inf for p in passes]
-    divisor = np.tile(log_fail, (rows_per_chunk, 1))
+    divisor = np.tile(np.repeat(log_fail, counts), (rows_per_chunk, 1))
     key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     # One contiguous span of whole chunks per worker; the calling thread
     # runs the first.  The sums are exact integers, so the report does not

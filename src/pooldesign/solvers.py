@@ -15,14 +15,15 @@ sum of q**-n_i over batch sizes n_i summing to N:
 - brute_force_solve: enumerates every integer partition of the demand.
   Exponentially slow, kept as ground truth for small N.
 
-Every solver searches with the q**-n that expected_waiting_time sums and
-reports that function's cost of its partition: the exact sum, rounded
-once.  sweep_solve and theorem_solve choose by that very value.  All four
-keep the fewest batches within the cost tolerance of the optimum (then, in
-brute_force_solve, the smallest ascending sizes).  The cost is
-Schur-convex, so at a real tie (q = k / (k + 1)) one design is left and
-every solver returns it; just off one, dp_solve may keep a batch more.
-SOLVERS maps each method name to its solver.
+The solvers only search, with core's prices: its power table and
+balanced-split cost hold the q**-n that expected_waiting_time sums, and
+each solver reports that function's cost of its partition, the exact
+sum rounded once.  sweep_solve and theorem_solve choose by that very
+value.  All four keep the fewest batches within the cost tolerance of
+the optimum (then, in brute_force_solve, the smallest ascending sizes).
+The cost is Schur-convex, so at a real tie (q = k / (k + 1)) one design
+is left and every solver returns it; just off one, dp_solve may keep a
+batch more.  SOLVERS maps each method name to its solver.
 """
 
 from __future__ import annotations
@@ -32,17 +33,16 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import accumulate, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Partition,
+    _balanced_cost,
     _check_int,
     _check_q,
     _cost_limit,
-    _int_power,
-    _runs_cost,
+    _inverse_power_table,
     as_partition,
     expected_waiting_time,
     optimal_constant_size,
@@ -60,22 +60,6 @@ class DesignSolution:
     partition: Partition
     expected_tests: float
     method: str
-
-
-def _inverse_power_table(q: float, n_max: int) -> list[float]:
-    """List t with t[n] = q**-n for n = 0..n_max, as Python floats.
-
-    Each entry is the product _int_power forms, t[n - top] * (1/q)**top
-    with top the largest power of two <= n, so it is bit for bit the
-    value expected_waiting_time sums, or inf past double range.  No
-    search picks an inf batch: singletons cost a finite N / q.
-    """
-    table = [1.0]
-    power = 1.0 / q  # (1/q)**len(table) while len(table) is a power of two
-    while len(table) <= n_max:
-        table += [t * power for t in table[: n_max + 1 - len(table)]]
-        power *= power
-    return table
 
 
 def _check_demand(demand: int) -> int:
@@ -195,19 +179,6 @@ def balanced_partition(demand: int, groups: int) -> Partition:
     small, bumped = divmod(demand, groups)
     runs = ((small, groups - bumped), (small + 1, bumped))
     return Partition(runs if bumped else runs[:1])
-
-
-def _balanced_cost(demand: int, q: float) -> Callable[[int], float]:
-    """Count I's balanced-split cost (I - r) * q**-floor(N/I) + r * q**-ceil(N/I),
-    r = N mod I, rounded once by _runs_cost as expected_waiting_time rounds it.
-    """
-    power = cache(partial(_int_power, 1.0 / q))
-
-    def cost(count: int) -> float:
-        small, bumped = divmod(demand, count)
-        return _runs_cost(((power(small), count - bumped), (power(small + 1), bumped)))
-
-    return cost
 
 
 def _sweep_count(demand: int, q: float, lo: int = 1, hi: int = sys.maxsize) -> int:

@@ -7,8 +7,6 @@ PUBLIC = [
     "DesignSolution",
     "Partition",
     "SimulationReport",
-    "VALUE_ATOL",
-    "VALUE_RTOL",
     "as_partition",
     "balanced_partition",
     "batch_pass_probability",

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from pooldesign import (
+    Partition,
     as_partition,
     balanced_partition,
     batch_pass_probability,
@@ -113,6 +114,15 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+        # 2e6 batches in two runs: each run is priced once and the divisor
+        # row repeated from its runs, so no Python float is held per batch
+        tracemalloc.start()
+        try:
+            simulate_design(Partition(((1, 10**6), (2, 10**6))), 0.5, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 * 10**6
 
     @pytest.mark.parametrize("sizes,reps", ((WIDE, 300), ((40, 90), 20_000)))
     def test_mean_equals_float_mean_while_the_grand_total_is_exact(self, sizes, reps):

@@ -6,9 +6,10 @@ errors, and `solve` and `table` with every solver run without it.
 pytest has already imported numpy, so every case runs in its own
 `python -m pooldesign` process and reports `sys.modules` at exit.
 
-The last test also runs fresh processes, to read each one's peak
+The memory test also runs fresh processes, to read each one's peak
 resident memory from `os.wait4`: a table's must follow one row, not
-the whole table, for theorem and for dp.
+the whole table, for theorem and for dp.  The last test closes a long
+table's stdout part-way, as `| head -c 100` does.
 """
 
 import os
@@ -181,3 +182,19 @@ def test_table_memory_follows_one_row(method):
     baseline = peak_rss_kb("solve", "--n", "250", "--p", "0.01")
     table = peak_rss_kb("table", "--n-range", "1:20000", "--p-list", "0.01", "--method", method)
     assert table - baseline <= 4 * 1024, (table, baseline)
+
+
+def test_broken_pipe_exits_1_with_an_empty_stderr():
+    # click handles the EPIPE of a reader that stops early: the table ends
+    # with exit code 1 and no traceback, as the README documents
+    table = subprocess.Popen(
+        [sys.executable, "-m", "pooldesign", "table", "--n-range", "1:200000",
+         "--p-list", "0.01", "--method", "theorem"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    head = table.stdout.read(100)
+    table.stdout.close()
+    _, stderr = table.communicate(timeout=120)
+    assert len(head) == 100
+    assert (table.returncode, stderr) == (1, b"")

@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from pooldesign import VALUE_ATOL, VALUE_RTOL, sweep_solve
-from pooldesign.core import _int_power
+from pooldesign import sweep_solve
+from pooldesign.core import VALUE_ATOL, VALUE_RTOL, _int_power
 from pooldesign.solvers import _inverse_power_table, _sweep_count
 
 MAX_DEMAND = 8000
