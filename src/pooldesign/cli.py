@@ -36,6 +36,8 @@ def _check_probability(ctx, param, value: float) -> float:
         raise click.BadParameter(
             f"defect probability must satisfy 0 <= p < 1, got {value}"
         )
+    if value > 0.0 and 1.0 - value == 1.0:  # p <= 2**-54: q = 1 would price every batch at 1
+        raise click.BadParameter(f"defect probability {value} is too small: 1 - p rounds to 1")
     return value
 
 

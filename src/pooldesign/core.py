@@ -9,8 +9,9 @@ tests spent per accepted batch is geometric with mean q**-n.
 
 A design that needs N accepted items splits N into batch sizes
 n_1 + ... + n_I = N and pays an expected q**-n_1 + ... + q**-n_I tests.
-This module owns every price of a batch (q**n, q**-n, the solvers' power
-table and balanced-split cost, a design's sum rounded once), the value
+This module owns every price of a batch (q**n and q**-n, each libm's pow
+and so within an ulp of the double q's exact power; the solvers' power
+table and balanced-split cost; a design's sum rounded once), the value
 types shared by the solvers (Partition holds a design as (size, count)
 runs, so the work on a balanced one does not grow with I), and the
 optimal batch size when every batch must have the same size, decided
@@ -19,6 +20,7 @@ exactly from the defect probability p = 1 - q.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import sys
@@ -45,35 +47,22 @@ def values_close(a: float, b: float) -> bool:
     return a <= _cost_limit(b) and b <= _cost_limit(a)
 
 
-def _int_power(base: float, exponent: int) -> float:
-    # Repeated squaring; squares only while bits remain so the final
-    # square cannot overflow spuriously after the result is complete.
-    result = 1.0
-    b = base
-    e = exponent
-    while True:
-        if e & 1:
-            result *= b
-        e >>= 1
-        if e == 0:
-            return result
-        b *= b
+def _inverse_power(q: float, n: int) -> float:
+    """q**-n by libm's pow, within an ulp of the double q's exact power; inf past double range."""
+    try:
+        return q**-n
+    except OverflowError:  # past double range, or n past float range, where 1.0**-n is 1.0
+        return math.inf if q < 1.0 else 1.0
 
 
 def _inverse_power_table(q: float, n_max: int) -> list[float]:
-    """List t with t[n] = q**-n for n = 0..n_max, as Python floats.
-
-    Each entry is the product _int_power forms, t[n - top] * (1/q)**top
-    with top the largest power of two <= n, so it is bit for bit the
-    value expected_waiting_time sums, or inf past double range.  No
-    search picks an inf batch: singletons cost a finite N / q.
+    """List t with t[n] = _inverse_power(q, n), libm's pow, for n = 0..n_max:
+    pow raises past double range, so the first inf is bisected for and the
+    finite prefix mapped with no try per entry.  No search picks an inf
+    batch: singletons cost a finite N / q.
     """
-    table = [1.0]
-    power = 1.0 / q  # (1/q)**len(table) while len(table) is a power of two
-    while len(table) <= n_max:
-        table += [t * power for t in table[: n_max + 1 - len(table)]]
-        power *= power
-    return table
+    finite = bisect.bisect_left(range(n_max + 1), math.inf, key=partial(_inverse_power, q))
+    return [*map(pow, repeat(q), range(0, -finite, -1)), *repeat(math.inf, n_max + 1 - finite)]
 
 
 def _check_int(value: int, name: str, minimum: int | None = None) -> int:
@@ -103,14 +92,14 @@ def batch_pass_probability(n: int, q: float) -> float:
     """Probability q**n that a batch of n items tests clean."""
     n = _check_int(n, "batch size", 1)
     _check_q(q)
-    return _int_power(q, n)
+    return q ** min(n, sys.maxsize)  # 0.0 on underflow; exact, as q**sys.maxsize is 0.0 or 1.0
 
 
 def batch_waiting_time(n: int, q: float) -> float:
     """Expected tests q**-n spent until a batch of size n passes."""
     n = _check_int(n, "batch size", 1)
     _check_q(q)
-    value = _int_power(1.0 / q, n)
+    value = _inverse_power(q, n)
     if math.isinf(value):
         raise OverflowError(
             f"expected waiting time q**-n exceeds double precision "
@@ -193,9 +182,10 @@ def _runs_cost(runs: Iterable[tuple[float, int]]) -> float:
 
 def _balanced_cost(demand: int, q: float) -> Callable[[int], float]:
     """Count I's balanced-split cost (I - r) * q**-floor(N/I) + r * q**-ceil(N/I),
-    r = N mod I, rounded once by _runs_cost as expected_waiting_time rounds it.
+    r = N mod I, each power libm's pow (_inverse_power), within an ulp of the
+    double q's exact power, and rounded once as expected_waiting_time rounds it.
     """
-    power = cache(partial(_int_power, 1.0 / q))
+    power = cache(partial(_inverse_power, q))
 
     def cost(count: int) -> float:
         small, bumped = divmod(demand, count)

@@ -8,6 +8,7 @@ of the simulate subcommand.
 import csv
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -422,6 +423,32 @@ class TestExitCodes:
     )
     def test_usage_errors_exit_2(self, runner, args):
         assert invoke(runner, *args).exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args,p",
+        [
+            *((("solve", "--n", "1000000000000000000", "--p", "1e-17", "--method", m), "1e-17")
+              for m in ("sweep", "theorem")),
+            # 2**-54, the largest p whose 1 - p rounds to 1
+            (("solve", "--n", "5", "--p", "5.551115123125783e-17"), "5.551115123125783e-17"),
+            (("simulate", "--n", "5", "--p", "1e-17"), "1e-17"),
+            (("table", "--n-range", "1:3", "--p-list", "0.1,1e-17"), "1e-17"),
+        ],
+    )
+    def test_p_that_rounds_q_to_1_exits_2_naming_p(self, runner, args, p):
+        # q = 1 prices every batch at one test: sweep would print one batch
+        # at 1.000000 tests, and theorem would name a q never passed
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+        assert f"defect probability {p} is too small" in result.stderr
+        assert result.stdout == ""
+
+    def test_smallest_p_that_leaves_q_below_1_is_solved(self, runner):
+        p = math.nextafter(2.0**-54, 1.0)
+        assert 1.0 - p < 1.0
+        result = invoke(runner, "solve", "--n", "5", "--p", repr(p), "--method", "sweep")
+        assert result.exit_code == 0
+        assert "batches:          5\n" in result.stdout
 
     def test_non_integer_range_bound_exits_2(self, runner):
         result = invoke(runner, "table", "--n-range", "1:x", "--p-list", "0.1")

@@ -105,6 +105,15 @@ class TestOverflowPolicy:
         with pytest.raises(OverflowError, match="exceeds double precision"):
             batch_waiting_time(590, 0.3)
 
+    def test_sizes_past_float_range(self):
+        # 10**400 has no float, so pow cannot take it as an exponent: q = 1
+        # still prices it at one test, and any q < 1 passes it with probability 0
+        n = 10**400
+        assert batch_pass_probability(n, 1.0) == batch_waiting_time(n, 1.0) == 1.0
+        assert batch_pass_probability(n, 1 - 2**-53) == 0.0
+        with pytest.raises(OverflowError, match="exceeds double precision"):
+            batch_waiting_time(n, 0.5)
+
     def test_large_but_safe_values_pass(self):
         assert batch_waiting_time(100, 0.99) == pytest.approx(math.pow(0.99, -100), rel=1e-13)
 

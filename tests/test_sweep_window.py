@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from pooldesign import sweep_solve
-from pooldesign.core import VALUE_ATOL, VALUE_RTOL, _int_power
+from pooldesign.core import VALUE_ATOL, VALUE_RTOL, _inverse_power
 from pooldesign.solvers import _inverse_power_table, _sweep_count
 
 MAX_DEMAND = 8000
@@ -176,7 +176,7 @@ def test_balanced_cost_is_convex_in_the_count():
     qs += [rng.uniform(0.5, 0.999) for _ in range(10)]
     demands = [*range(3, 40), *rng.sample(range(40, 301), 12)]
     for q in qs:
-        a = [Fraction(_int_power(1.0 / q, n)) for n in range(302)]
+        a = [Fraction(_inverse_power(q, n)) for n in range(302)]
         for demand in demands:
             costs = [None]
             for count in range(1, demand + 1):
