@@ -85,11 +85,7 @@ def _domain_error(exc: Exception) -> None:
 
 
 def _n_star_cell(low: int | None, high: int | None) -> str:
-    if low is None:
-        return ""
-    if high is not None:
-        return f"{low}|{high}"
-    return str(low)
+    return "|".join(str(size) for size in (low, high) if size is not None)
 
 
 def _partition_cell(runs) -> str:

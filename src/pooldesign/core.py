@@ -209,7 +209,8 @@ class ConstantSizeResult:
     n_star_low is the optimal size; n_star_high is the next size up when
     the two tie, which they do exactly at p = 1 - q = 1 / (n + 1): when q
     is the double nearest n / (n + 1) or 1 - p for p the double nearest
-    1 / (n + 1).  Any other q is decided exactly, with no tie.
+    1 / (n + 1).  Any other q is decided exactly, with no tie.  From p
+    itself a tie needs p nearest 1 / k for one k alone (_constant_sizes).
     """
 
     n_star_low: int
@@ -220,17 +221,17 @@ class ConstantSizeResult:
 def _constant_sizes(p: float) -> tuple[int | None, int | None]:
     """Optimal constant batch size(s) for defect probability p, exact in p.
 
-    Sizes k - 1 and k tie when p is the double nearest 1 / k; otherwise
-    floor(1 / p), taken from p's integer ratio, is the one optimum.
-    (None, None) when q = 1 - p rounds to 1, which has no finite optimum.
+    Sizes k - 1 and k tie when p is the double nearest 1 / k for one k
+    alone, a k within 1 / p * 2**-53 < 2 of 1 / p (as p > 2**-54).  Below
+    p = 2**-52 several k can share that double; then floor(1 / p), den // num
+    of p's integer ratio, is the one optimum.  (None, None) when 1 - p rounds to 1.
     """
     if 1.0 - p == 1.0:
         return None, None
-    k = round(1.0 / p)
-    if p == 1.0 / k:
-        return k - 1, k
     num, den = p.as_integer_ratio()
-    return den // num, None
+    low = den // num
+    ties = [k for k in range(max(low - 1, 1), low + 3) if 1 / k == p]  # int / int rounds once
+    return (ties[0] - 1, ties[0]) if len(ties) == 1 else (low, None)
 
 
 def optimal_constant_size(q: float) -> ConstantSizeResult:
@@ -248,10 +249,7 @@ def optimal_constant_size(q: float) -> ConstantSizeResult:
     if q < 0.5:
         return ConstantSizeResult(1, None, mu(1, q))
     p = 1.0 - q  # exact for q >= 1/2 (Sterbenz)
-    k = round(1.0 / p)
-    # the double nearest (k - 1) / k, and 1 - p derived from p = 1 / k,
-    # both stand for the tie p = 1 / k
-    if q in ((k - 1) / k, 1.0 - 1.0 / k):
-        p = 1.0 / k
-    low, high = _constant_sizes(p)
+    k = round(1.0 / p)  # q < 1 keeps 1 / p, so k, at most 2**53
+    # the double nearest (k - 1) / k, and 1 - p derived from p = 1 / k, both stand for the tie
+    low, high = (k - 1, k) if q in ((k - 1) / k, 1.0 - 1.0 / k) else _constant_sizes(p)
     return ConstantSizeResult(low, high, mu(low, q))

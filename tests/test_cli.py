@@ -150,12 +150,27 @@ class TestSolve:
             ("1e-8", "99999999|100000000"),
             # 1/p = 2699182.99993: within 4 ulps of a tie in q, but no tie
             ("3.704824756333552e-07", "2699182"),
+            # the double nearest 1/9301384952603949, and nearest no other 1/k
+            ("1.0751087124074433e-16", "9301384952603948|9301384952603949"),
         ),
     )
     def test_constant_optimum_is_exact_in_p(self, runner, p, cell):
         result = invoke(runner, "solve", "--n", "10", "--p", p, "--method", "theorem")
         assert result.exit_code == 0
         assert f"constant optimum: {cell}\n" in result.output
+
+    def test_double_shared_by_several_k_prints_one_constant_optimum(self, runner):
+        # below 2**-52 one double can be nearest to 1/k for several k, here
+        # k = 18014398509481979..82; it names no tie, only floor(1/p)
+        args = ("solve", "--n", "5", "--p", "5.551115123125784e-17", "--method", "sweep")
+        text = invoke(runner, *args)
+        assert text.exit_code == 0
+        assert "constant optimum: 18014398509481980\n" in text.output
+        csv_out = invoke(runner, *args, "--format", "csv")
+        assert csv_out.exit_code == 0
+        assert csv_out.output.splitlines()[-1].split(",")[-1] == "18014398509481980"
+        row = json.loads(invoke(runner, *args, "--format", "json").output)
+        assert (row["n_star"], row["n_star_tie"]) == (18014398509481980, None)
 
     @pytest.mark.parametrize("n", (1, 7, 13, 30))
     @pytest.mark.parametrize("p", (0.05, 0.25, 0.5))

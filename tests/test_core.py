@@ -29,7 +29,7 @@ from pooldesign import (
     theorem_solve,
     values_close,
 )
-from pooldesign.core import _runs_cost
+from pooldesign.core import _constant_sizes, _runs_cost
 
 # Relative slack for comparing computed throughputs of tied sizes.
 MU_TIE_RTOL = 1e-12
@@ -454,3 +454,34 @@ class TestExactTie:
         assert q == 0.9900000000000002
         pick = optimal_constant_size(q)
         assert (pick.n_star_low, pick.n_star_high) == (100, None)
+
+
+# ---------------------------------------------------------------------------
+# n* from p against an exact oracle, down to the smallest p the CLI accepts
+
+
+def _oracle_grid():
+    """Seeded p over [2**-54, 1/2], plus 1/k and its two neighbours for k up to 2**61."""
+    rng = random.Random(386)
+    ps = {2.0 ** -rng.uniform(1, 54) for _ in range(20_000)}
+    for e in range(1, 61):
+        for _ in range(30):
+            k = rng.randrange(2**e, 2 ** (e + 1))
+            ps.update((math.nextafter(1 / k, 0.0), 1 / k, math.nextafter(1 / k, 1.0)))
+    return sorted(p for p in ps if 1 - p != 1)  # the CLI refuses the rest
+
+
+def _exact_constant_sizes(p):
+    # floor(1/p) in rationals; a tie when one k alone has p as its nearest
+    # double 1/k (any such k lies within 2 of 1/p, so 8 is ample)
+    low = math.floor(1 / Fraction(p))
+    ties = [k for k in range(max(low - 8, 1), low + 9) if float(Fraction(1, k)) == p]
+    return (ties[0] - 1, ties[0]) if len(ties) == 1 else (low, None)
+
+
+class TestConstantSizesFromP:
+    def test_matches_the_exact_oracle(self):
+        grid = _oracle_grid()
+        assert len(grid) > 24_000
+        misses = [p for p in grid if _constant_sizes(p) != _exact_constant_sizes(p)]
+        assert misses == []

@@ -90,6 +90,23 @@ def test_banded_table_equals_the_full_recursion(q):
     assert_same_table(800, q)
 
 
+# q where a narrower band, one that lets rows try only sizes from a lower
+# edge up, moves a value by an ulp, and seeded q across the pooling range
+_seeded = random.Random(28)
+BIT_GUARD = (
+    (1500, 0.5845699808338178),
+    (2500, 0.5916489062562797),
+    (1500, 0.5943050317412881),
+    (2500, 0.7174853622820386),
+    *((1500, _seeded.uniform(0.3, 0.999)) for _ in range(40)),
+)
+
+
+@pytest.mark.parametrize("demand,q", BIT_GUARD)
+def test_banded_table_equals_the_full_recursion_bit_for_bit(demand, q):
+    assert_same_table(demand, q)
+
+
 @pytest.mark.parametrize("demand", (4000, 6000))
 def test_band_keeps_pairs_the_tolerance_cannot_tell_from_singletons(demand):
     # at q = 1/2 - 1e-9 a pair costs 8e-9 more than two singletons; past
